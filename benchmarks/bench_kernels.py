@@ -1,7 +1,8 @@
-"""Time the jit-compiled kernel loops against the pure-numpy fallbacks.
+"""Time the jit-compiled eigensolver loops against the pure-numpy fallbacks.
 
-Both implementations ship in gramspec._kernels; the package picks one at
-import time (numba when available, unless GRAMSPEC_DISABLE_NUMBA is set).
+Both implementations of the tridiagonalization and tridiagonal-eigenvalue
+kernels ship in gramspec._kernels; the package picks one at import time
+(numba when available, unless GRAMSPEC_DISABLE_NUMBA is set).
 This script times both on the same inputs and checks they agree.
 
 Run:  python3 benchmarks/bench_kernels.py [--repeats 5]
@@ -22,29 +23,6 @@ def best_of(fn, repeats):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
-
-
-def bench_fixed_point(repeats, z_count, n_nodes):
-    rng = np.random.default_rng(1)
-    g = np.sort(rng.uniform(0.05, 4.0, n_nodes))
-    w = rng.uniform(0.0, 1.0, n_nodes)
-    w *= 0.5 / w.sum()
-    zs = rng.uniform(-2, 4, z_count) + 1j * rng.uniform(0.05, 2.0, z_count)
-
-    def run(fp):
-        out = []
-        for z in zs:
-            s, _, _, status = fp(z, g, w, -1.0 / z, 1e-12, 0.5, 500)
-            assert status == 0
-            out.append(s)
-        return out
-
-    K.fixed_point_loops(1j, g, w, 1j, 1e-10, 0.5, 50)  # compile before timing
-    t_loops = best_of(lambda: run(K.fixed_point_loops), repeats)
-    t_numpy = best_of(lambda: run(K.fixed_point_numpy), repeats)
-    gap = max(abs(a - b) for a, b in
-              zip(run(K.fixed_point_loops), run(K.fixed_point_numpy)))
-    return t_loops, t_numpy, gap
 
 
 def bench_eigensolver(repeats, n):
@@ -75,10 +53,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeats", type=int, default=5,
                     help="timing repetitions; the best is reported")
-    ap.add_argument("--z-count", type=int, default=200,
-                    help="fixed-point solves per timing run")
-    ap.add_argument("--nodes", type=int, default=400,
-                    help="quadrature nodes per fixed-point solve")
     ap.add_argument("--sizes", type=int, nargs="+", default=[64, 256, 512],
                     help="matrix orders for the eigensolver benchmark")
     args = ap.parse_args()
@@ -91,11 +65,6 @@ def main():
     hdr = f"{'workload':<34}{'loops':>10}{'numpy':>10}{'ratio':>8}  agreement"
     print(hdr)
     print("-" * len(hdr))
-
-    t_l, t_n, gap = bench_fixed_point(args.repeats, args.z_count, args.nodes)
-    name = f"fixed point ({args.z_count} z, {args.nodes} nodes)"
-    print(f"{name:<34}{t_l * 1e3:>8.1f}ms{t_n * 1e3:>8.1f}ms"
-          f"{t_n / t_l:>7.1f}x  max|ds|={gap:.1e}")
 
     for n in args.sizes:
         t_l, t_n, gap = bench_eigensolver(args.repeats, n)

@@ -1,10 +1,13 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels.
 
-Two independent implementations of each kernel ship side by side:
-``*_loops`` (numba @njit scalar loops) and ``*_numpy`` (vectorized numpy).
-The active path is chosen at import: numba when importable, unless the
-environment variable GRAMSPEC_DISABLE_NUMBA is set to a non-empty value
-other than "0".  benchmarks/bench_kernels.py times both.
+The eigensolver kernels (tridiagonalization and tridiagonal eigenvalues)
+ship in two implementations: ``*_loops`` (numba @njit scalar loops) and
+``*_numpy`` (vectorized numpy).  The active pair is chosen at import:
+numba when importable, unless the environment variable
+GRAMSPEC_DISABLE_NUMBA is set to a non-empty value other than "0".
+benchmarks/bench_kernels.py times both.  The limiting-equation solve,
+``fixed_point``, is a safeguarded Newton iteration with a single numpy
+implementation.
 """
 
 from __future__ import annotations
@@ -229,8 +232,13 @@ def tridiagonal_eigenvalues_numpy(d: np.ndarray, e: np.ndarray, cap: int):
     lo = np.full(n, float(np.min(d - radius)))
     hi = np.full(n, float(np.max(d + radius)))
     pivmin = max(1e-300, _EPS * _EPS * float(np.max(b2, initial=0.0)))
+    # every sweep halves every interval; stop once they are at the working
+    # precision of the Gershgorin bounds, as LAPACK dstebz does
+    width_tol = _EPS * max(abs(lo[0]), abs(hi[0]))
     ks = np.arange(n)
     for _ in range(75):
+        if hi[0] - lo[0] <= width_tol:
+            break
         mid = 0.5 * (lo + hi)
         above = _sturm_counts(d, b2, mid, pivmin) <= ks
         lo = np.where(above, mid, lo)
@@ -239,56 +247,56 @@ def tridiagonal_eigenvalues_numpy(d: np.ndarray, e: np.ndarray, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# Damped fixed-point iteration for the limiting-equation solver.
+# Safeguarded Newton solve of the limiting equation.
 # g holds the reciprocal transformed-density values at quadrature nodes,
 # w the (aspect-ratio-folded) weights; the equation reads
 #   z = -1/s + sum_q w_q / (s + g_q).
 # Status codes: 0 converged, 1 max_iter exhausted, 2 Herglotz loss.
 
-@njit(cache=True, nogil=True)
-def _fp_loops(z, g, w, s0, tol, damping, max_iter):
-    s = s0
-    it = 0
-    resid = math.inf
-    while it < max_iter:
-        acc = 0.0 + 0.0j
-        for q in range(g.shape[0]):
-            acc += w[q] / (s + g[q])
-        resid = abs(z + 1.0 / s - acc)
-        if resid <= tol:
-            return s, resid, it, 0
-        t = -1.0 / (z - acc)
-        s_new = (1.0 - damping) * s + damping * t
-        if s_new.imag <= 1e-14:
-            return s_new, resid, it, 2
-        s = s_new
-        it += 1
-    return s, resid, it, 1
+def fixed_point(z, g, w, s0, tol, max_iter):
+    """Solve s = T(s), T(s) = -1/(z - sum w/(s + g)), from s0 in C+.
 
-
-def fixed_point_loops(z, g, w, s0, tol, damping, max_iter):
-    out = _fp_loops(complex(z), np.asarray(g, dtype=np.float64),
-                    np.asarray(w, dtype=np.float64), complex(s0),
-                    float(tol), float(damping), int(max_iter))
-    return complex(out[0]), float(out[1]), int(out[2]), int(out[3])
-
-
-def fixed_point_numpy(z, g, w, s0, tol, damping, max_iter):
+    Newton runs on F(s) = s - T(s) rather than on the residual: T maps the
+    upper half-plane into itself, so the half step s - F/2 (the average of
+    s and T(s)) never leaves it.  A Newton step is kept only if it stays in
+    C+ and shrinks |F|; otherwise the half step is taken.  The iteration
+    stops once the residual |z + 1/s - sum w/(s + g)| is at most tol.  Near
+    a hard edge that residual is small against the error in s, so the
+    Newton step computed at the stopping iterate is still kept when it
+    shrinks |F|.  Returns (s, residual, iterations, status).
+    """
     z = complex(z)
     g = np.asarray(g, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     s = complex(s0)
-    resid = math.inf
+    u = 1.0 / (s + g)
+    acc = complex(w @ u)
     for it in range(int(max_iter)):
-        acc = complex(np.sum(w / (s + g)))
         resid = abs(z + 1.0 / s - acc)
+        t = -1.0 / (z - acc)
+        f = s - t
+        dfds = 1.0 - complex(w @ (u * u)) * t * t
+        s_new = s - f / dfds if dfds != 0.0 else s
+        newton = s_new.imag > 1e-14 and math.isfinite(abs(s_new))
+        if newton:
+            u_new = 1.0 / (s_new + g)
+            acc_new = complex(w @ u_new)
+            newton = abs(s_new + 1.0 / (z - acc_new)) < abs(f)
         if resid <= tol:
+            if newton:
+                resid_new = abs(z + 1.0 / s_new - acc_new)
+                if resid_new <= resid:
+                    return s_new, resid_new, it + 1, 0
             return s, resid, it, 0
-        s_new = (1.0 - damping) * s + damping * (-1.0 / (z - acc))
-        if s_new.imag <= 1e-14:
-            return s_new, resid, it, 2
-        s = s_new
-    return s, resid, int(max_iter), 1
+        if newton:
+            s, u, acc = s_new, u_new, acc_new
+            continue
+        s = s - 0.5 * f
+        if s.imag <= 1e-14:
+            return s, resid, it, 2
+        u = 1.0 / (s + g)
+        acc = complex(w @ u)
+    return s, abs(z + 1.0 / s - acc), int(max_iter), 1
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +305,9 @@ def fixed_point_numpy(z, g, w, s0, tol, damping, max_iter):
 if USE_NUMBA:
     tridiagonalize = tridiagonalize_loops
     tridiagonal_eigenvalues = tridiagonal_eigenvalues_loops
-    fixed_point = fixed_point_loops
 else:
     tridiagonalize = tridiagonalize_numpy
     tridiagonal_eigenvalues = tridiagonal_eigenvalues_numpy
-    fixed_point = fixed_point_numpy
 
 
 def warm_up():
@@ -309,4 +315,4 @@ def warm_up():
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     d, e = tridiagonalize(a)
     tridiagonal_eigenvalues(d, e, 60)
-    fixed_point(1j, np.array([1.0]), np.array([0.5]), 1j, 1e-10, 0.5, 50)
+    fixed_point(1j, np.array([1.0]), np.array([0.5]), 1j, 1e-10, 50)

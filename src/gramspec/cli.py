@@ -181,12 +181,11 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
 
     def _solver():
         s = raw.get("solver", {})
-        extra = set(s) - {"tol", "max_iter", "damping", "quad_tol"}
+        extra = set(s) - {"tol", "max_iter", "quad_tol"}
         if extra:
             raise ValueError(f"unknown solver keys {sorted(extra)}")
         return SolverSettings(tol=float(s.get("tol", 1e-12)),
                               max_iter=int(s.get("max_iter", 10_000)),
-                              damping=float(s.get("damping", 0.5)),
                               quad_tol=float(s.get("quad_tol", 1e-10)))
     solver = grab(_solver, "bad 'solver'") or SolverSettings()
 
@@ -334,6 +333,13 @@ def _write_csv(path, header, rows) -> None:
                              for v in row])
 
 
+def _limit_summary(limit: LimitDistribution) -> dict:
+    return {"atom0": limit.atom0, "edges": list(limit.edges),
+            "total_mass": limit.total_mass,
+            "inversion_max_residual": limit.residual_max,
+            "unstable_points": limit.unstable_points}
+
+
 def _limit_csv(stage: str, limit: LimitDistribution) -> None:
     _write_csv(os.path.join(stage, "limit.csv"),
                ["x", "density", "cdf"],
@@ -427,10 +433,7 @@ def _cmd_solve(cfg: ExperimentConfig, stage: str):
             os.path.join(stage, "cdf.svg"),
             [{"xs": limit.x_grid, "ys": limit.cdf, "label": "limit CDF"}],
             title="Limiting spectral CDF", x_label="x", y_label="F(x)")
-        result.update(atom0=limit.atom0, edges=list(limit.edges),
-                      total_mass=limit.total_mass,
-                      inversion_max_residual=limit.residual_max,
-                      unstable_points=limit.unstable_points)
+        result.update(_limit_summary(limit))
     return result, True
 
 
@@ -504,8 +507,8 @@ def _cmd_compare(cfg: ExperimentConfig, stage: str):
         "pooled_levy": pooled_levy,
         "max_seed_levy": max(per_seed),
         "levy_threshold": gate,
-        "atom0": limit.atom0,
         "pass": passed,
+        **_limit_summary(limit),
     }
     return result, passed
 
@@ -599,6 +602,7 @@ def _cmd_universality(cfg: ExperimentConfig, stage: str):
         "levy_threshold": gate_l,
         "cross_levy_threshold": gate_x,
         "pass": passed,
+        **_limit_summary(limit),
     }
     return result, passed
 

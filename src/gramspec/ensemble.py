@@ -345,6 +345,3 @@ def read_datamatrix(path) -> DataMatrix:
     vals = np.frombuffer(body, dtype="<f8").reshape(n_rows, n_cols)
     return DataMatrix(vals.astype(float), seed, "sha256:" + digest.hex())
 
-
-def datamatrix_to_csv(dm: DataMatrix, path) -> None:
-    np.savetxt(path, dm.values, delimiter=",", fmt="%.17g")

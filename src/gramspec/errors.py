@@ -18,7 +18,7 @@ class TailToleranceUnreachable(GramspecError, RuntimeError):
 
 
 class NonConvergence(GramspecError, RuntimeError):
-    """Fixed-point iteration exhausted max_iter without meeting the residual tolerance."""
+    """The Newton solve exhausted max_iter without meeting the residual tolerance."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

@@ -5,9 +5,10 @@ of the limiting Gram spectrum,
 
     z = -1/s + (c/pi) * integral over (0, pi) of dlam / (s + 1/(2 pi f(lam))),
 
-by damped fixed-point iteration, recovers the eigenvalue density on a grid
-of real points through a vertical-line limit with linear extrapolation in
-the line height, and runs truncation ladders for unbounded densities.
+by a safeguarded Newton iteration at each z (see _kernels.fixed_point),
+recovers the eigenvalue density on a grid of real points through a
+vertical-line limit with linear extrapolation in the line height, and runs
+truncation ladders for unbounded densities.
 
 Every accepted solve carries a residual certificate: the frequency grid is
 re-selected at a tenth of the quadrature tolerance and the residual of the
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -43,11 +43,10 @@ _MAX_LEVEL = 9
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs for the fixed-point solver and its quadrature layer."""
+    """Knobs for the Newton solver and its quadrature layer."""
 
     tol: float = 1e-12
     max_iter: int = 10_000
-    damping: float = 0.5
     quad_tol: float = 1e-10
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class SolverSettings:
             raise DomainError("tol must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise DomainError("damping must lie in (0, 1]")
         if not self.quad_tol > 0:
             raise DomainError("quad_tol must be positive")
 
@@ -138,68 +135,25 @@ def _certified_level(f: SpectralDensity, c: float, target: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Core fixed-point driver (shared by the density and measure entry points).
+# Certified solve driver (shared by the density and measure entry points).
+# Node weights arrive folded: the kernel equation is z = -1/s + sum w/(s + g).
 
-def _newton_polish(z: complex, g, wf, s: complex,
-                   target: float) -> tuple[complex, float]:
-    """Quadratic cleanup when the damped loop stalls just short of target.
-
-    Near a support edge the contraction factor of the fixed-point map
-    approaches one, so the final decade of residual can cost more sweeps
-    than the entire approach; a few Newton steps on the same residual close
-    it from the already-close iterate.  Steps are trust-region limited and
-    must shrink the residual monotonically, so a degenerate derivative at
-    the edge cannot send the iterate to a different branch."""
-    def residual(sv: complex) -> complex:
-        return z + 1.0 / sv - complex(np.sum(wf / (sv + g)))
-
-    r = residual(s)
-    best_s, best_r = s, abs(r)
-    for _ in range(8):
-        dr = -1.0 / (s * s) + complex(np.sum(wf / (s + g) ** 2))
-        if dr == 0.0:
-            break
-        step = r / dr
-        s_new = s - step
-        if (abs(step) > 0.1 * (1.0 + abs(s)) or not s_new.imag > 1e-14
-                or not math.isfinite(abs(s_new))):
-            break
-        r_new = residual(s_new)
-        if abs(r_new) >= best_r:
-            break
-        s, r = s_new, r_new
-        best_s, best_r = s, abs(r)
-        if best_r <= 0.25 * target:
-            break
-    return best_s, best_r
-
-
-def _run_start(z: complex, g, w, c: float, s0: complex,
-               settings: SolverSettings,
+def _run_start(z: complex, g, w, s0: complex, settings: SolverSettings,
                tol: float | None = None) -> tuple[complex, float, int]:
-    wf = w * (c / math.pi)
-    damping = settings.damping
     target = 0.5 * settings.tol if tol is None else tol
-    for _ in range(7):
-        s, resid, iters, status = _kernels.fixed_point(
-            z, g, wf, s0, target, damping, settings.max_iter)
-        if status == 0:
-            return s, resid, iters
-        if status == 2:
-            damping *= 0.5  # Herglotz loss: retry same start, gentler step
-            continue
-        s_pol, resid_pol = _newton_polish(z, g, wf, s, target)
-        if resid_pol <= target and s_pol.imag > 1e-14:
-            return s_pol, resid_pol, iters
+    s, resid, iters, status = _kernels.fixed_point(
+        z, g, w, s0, target, settings.max_iter)
+    if status == 1:
         raise NonConvergence(
-            f"fixed point at z={z!r} still has residual {resid:.3e} after "
-            f"{settings.max_iter} iterations (damping {damping})", resid)
-    raise HerglotzLoss(
-        f"iterate collapsed onto the real axis at z={z!r}; damping "
-        f"reductions down to {damping:.4f} did not save it")
+            f"Newton solve at z={z!r} still has residual {resid:.3e} after "
+            f"{settings.max_iter} iterations", resid)
+    if status == 2:
+        raise HerglotzLoss(
+            f"iterate collapsed onto the real axis at z={z!r}")
+    return s, resid, iters
 
 
-def _dual_start(z: complex, g, w, c: float,
+def _dual_start(z: complex, g, w,
                 settings: SolverSettings) -> tuple[complex, int]:
     """Uniqueness probe: run the two canonical starts and require agreement.
 
@@ -208,15 +162,15 @@ def _dual_start(z: complex, g, w, c: float,
     tighter residual targets before the gate fires; two genuinely distinct
     fixed points keep their distance no matter how far the targets drop.
     """
-    s_a, _, it_a = _run_start(z, g, w, c, -1.0 / z, settings)
-    s_b, _, it_b = _run_start(z, g, w, c, 1j, settings)
+    s_a, _, it_a = _run_start(z, g, w, -1.0 / z, settings)
+    s_b, _, it_b = _run_start(z, g, w, 1j, settings)
     total = it_a + it_b
     target = 0.5 * settings.tol
     while abs(s_a - s_b) > _DUAL_START_TOL and target > 1e-15:
         target = max(0.01 * target, 1e-15)
         try:
-            s_a, _, it_a = _run_start(z, g, w, c, s_a, settings, target)
-            s_b, _, it_b = _run_start(z, g, w, c, s_b, settings, target)
+            s_a, _, it_a = _run_start(z, g, w, s_a, settings, target)
+            s_b, _, it_b = _run_start(z, g, w, s_b, settings, target)
         except NonConvergence:
             break  # residual floor for this z; judge with what we have
         total += it_a + it_b
@@ -227,32 +181,38 @@ def _dual_start(z: complex, g, w, c: float,
     return s_a, total
 
 
-def _solve_under(f: SpectralDensity, c: float, z: complex,
-                 settings: SolverSettings,
-                 initial: complex | None) -> tuple[complex, float, int, int]:
-    """Solve on a certified grid, then certify the residual on the next finer
-    grid, escalating if the certificate fails.  Returns (s_under, residual,
-    iterations, level)."""
-    target = min(settings.quad_tol, 0.25 * settings.tol)
-    level = _certified_level(f, c, target)
+def _check_point(z, c: float) -> complex:
+    z = complex(z)
+    if z.imag <= 0:
+        raise DomainError("z must lie in the open upper half-plane")
+    if not c > 0:
+        raise DomainError("aspect ratio c must be positive")
+    return z
+
+
+def _solve_under(nodes, c: float, z: complex, settings: SolverSettings,
+                 initial: complex | None, attempts: int,
+                 failure: str) -> LimitPoint:
+    """Solve on the folded nodes of step k, then certify the residual on
+    those of step k + 1, escalating to the next step if the certificate
+    fails; `nodes` maps k to folded (g, w)."""
     total_iters = 0
-    for attempt in range(4):
-        g, w = _nodes(f, level)
+    for k in range(attempts):
+        g, w = nodes(k)
         if initial is None:
-            s, it = _dual_start(z, g, w, c, settings)
-            total_iters += it
+            s, it = _dual_start(z, g, w, settings)
         else:
-            s, _, it = _run_start(z, g, w, c, initial, settings)
-            total_iters += it
-        g_fine, w_fine = _nodes(f, level + 1)
-        wf = w_fine * (c / math.pi)
-        resid_fine = abs(z + 1.0 / s - complex(np.sum(wf / (s + g_fine))))
+            s, _, it = _run_start(z, g, w, initial, settings)
+        total_iters += it
+        g_fine, w_fine = nodes(k + 1)
+        resid_fine = abs(z + 1.0 / s - complex(np.sum(w_fine / (s + g_fine))))
         if resid_fine <= settings.tol:
-            return s, resid_fine, total_iters, level
-        level += 1  # certificate failed: solve again on the finer grid
-    raise QuadratureError(
-        f"residual certificate kept failing at z={z!r} through grid "
-        f"level {level}")
+            s_plain = companion_inverse(s, c, z)
+            if s_plain.imag <= 0:
+                raise HerglotzLoss(
+                    f"recovered transform has Im <= 0 at z={z!r}")
+            return LimitPoint(s, s_plain, resid_fine, total_iters)
+    raise QuadratureError(failure)
 
 
 def solve_limit_density(f: SpectralDensity, c: float, z: complex,
@@ -263,17 +223,18 @@ def solve_limit_density(f: SpectralDensity, c: float, z: complex,
     With no `initial`, runs the two canonical starts -1/z and i and requires
     them to agree (uniqueness probe); a warm start skips the probe.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("z must lie in the open upper half-plane")
-    if not c > 0:
-        raise DomainError("aspect ratio c must be positive")
+    z = _check_point(z, c)
     settings = settings or SolverSettings()
-    s_under, resid, iters, _ = _solve_under(f, c, z, settings, initial)
-    s = companion_inverse(s_under, c, z)
-    if s.imag <= 0:
-        raise HerglotzLoss(f"recovered transform has Im <= 0 at z={z!r}")
-    return LimitPoint(s_under, s, resid, iters)
+    level = _certified_level(f, c, min(settings.quad_tol, 0.25 * settings.tol))
+
+    def nodes(k):
+        g, w = _nodes(f, level + k)
+        return g, w * (c / math.pi)
+
+    return _solve_under(
+        nodes, c, z, settings, initial, 4,
+        f"residual certificate kept failing at z={z!r} through grid "
+        f"level {level + 4}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,35 +280,16 @@ def solve_limit_H(h, c: float, z: complex,
     frequency quadrature with solve_limit_density and serves as an
     independent cross-check of it.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("z must lie in the open upper half-plane")
-    if not c > 0:
-        raise DomainError("aspect ratio c must be positive")
-    settings = settings or SolverSettings()
-    total_iters = 0
-    order = 12
-    for attempt in range(3):
-        g, w = _measure_nodes(h, order)
-        # weights enter the kernel pre-folded: the c/pi factor used by the
-        # density route is replaced by plain c here (w already holds mass)
-        scaled = w * math.pi
-        if initial is None:
-            s, it = _dual_start(z, g, scaled, c, settings)
-            total_iters += it
-        else:
-            s, _, it = _run_start(z, g, scaled, c, initial, settings)
-            total_iters += it
-        g2, w2 = _measure_nodes(h, 2 * order)
-        resid_fine = abs(z + 1.0 / s - c * complex(np.sum(w2 / (s + g2))))
-        if resid_fine <= settings.tol:
-            s_plain = companion_inverse(s, c, z)
-            if s_plain.imag <= 0:
-                raise HerglotzLoss(
-                    f"recovered transform has Im <= 0 at z={z!r}")
-            return LimitPoint(s, s_plain, resid_fine, total_iters)
-        order *= 2
-    raise QuadratureError(
+    z = _check_point(z, c)
+
+    def nodes(k):
+        # the weights already hold mass, so they fold with plain c where
+        # the density route's frequency weights fold with c/pi
+        g, w = _measure_nodes(h, 12 * 2**k)
+        return g, c * w
+
+    return _solve_under(
+        nodes, c, z, settings or SolverSettings(), initial, 3,
         f"piecewise Gauss rule for the mass CDF kept failing its residual "
         f"certificate at z={z!r}")
 
@@ -434,12 +376,6 @@ def _density_column(f, c, x, eps_ladder, settings, s_top_init, atom0):
     """
     scale = min(1.0, x / (2.0 * eps_ladder[0]))
     eff = np.asarray([e * scale for e in eps_ladder])
-    if scale < 1.0:
-        # Contraction slows near a hard edge as the rungs approach the
-        # axis; give those solves a larger iteration budget (early exit
-        # keeps ordinary points cheap).
-        settings = dataclasses.replace(
-            settings, max_iter=max(settings.max_iter, 40_000))
     rhos = np.empty(eff.size)
     resid_max = 0.0
     s_warm = None

@@ -89,6 +89,7 @@ def test_solve_run_produces_manifest_and_artifacts(tmp_path, monkeypatch):
     run_dir = _only_run_dir(tmp_path)
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["name"] == "t-solve"
+    _assert_inversion_reported(manifest["result"], 0.5)
     assert manifest["command"] == "solve"
     assert manifest["pass"] is True
     assert "config_hash" in manifest and "result" in manifest
@@ -150,6 +151,35 @@ def test_gate_failure_exits_one(tmp_path, monkeypatch):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["pass"] is False
     assert manifest["result"]["pooled_levy"] > 1e-9
+    _assert_inversion_reported(manifest["result"], 0.5)
+
+
+def test_universality_manifest_reports_inversion(tmp_path, monkeypatch):
+    cfg = {
+        "name": "t-univ",
+        "density": {"family": "constant", "sigma2": 1.0},
+        "aspect": {"n": 80, "p": 40},
+        "seeds": [1],
+        "laws": ["gaussian", "rademacher"],
+        "grid": {"n_points": 64},
+        "solver": {"tol": 1e-9, "quad_tol": 1e-7},
+    }
+    assert _run(tmp_path, monkeypatch, "universality", cfg) == 0
+    manifest = json.loads(
+        (_only_run_dir(tmp_path) / "manifest.json").read_text())
+    _assert_inversion_reported(manifest["result"], 0.5)
+
+
+def _assert_inversion_reported(result, c):
+    # every command that inverts the limit reports the inversion's numbers
+    lo, hi = (1 - c**0.5) ** 2, (1 + c**0.5) ** 2
+    assert result["atom0"] == 0.0
+    assert abs(result["total_mass"] - 1.0) < 5e-3
+    assert 0.0 < result["inversion_max_residual"] <= 1e-9
+    assert isinstance(result["unstable_points"], int)
+    assert result["unstable_points"] >= 0
+    assert any(abs(e - lo) < 0.1 for e in result["edges"])
+    assert any(abs(e - hi) < 0.1 for e in result["edges"])
 
 
 def test_config_errors_exit_two(tmp_path, monkeypatch):

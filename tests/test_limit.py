@@ -1,4 +1,4 @@
-"""Fixed-point solver, companion transform, density inversion."""
+"""Limit solver, companion transform, density inversion."""
 
 import math
 import warnings
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gramspec
+from gramspec import _kernels, limit
 from gramspec.errors import DomainError, ExtrapolationWarning
 
 from _oracles import mp_cdf, mp_density, mp_edges, mp_transform
@@ -82,6 +83,39 @@ def test_warm_start_skips_probe_and_agrees():
 
 
 # ---------------------------------------------------------------------------
+# Newton solves where a plain fixed point crawls or plain Newton strays
+
+
+@pytest.mark.parametrize("x", [1e-3, 1e-2])
+@pytest.mark.parametrize("shrink", [10, 100, 1000])
+def test_hard_edge_points_match_mp_oracle(x, shrink):
+    # at c = 1 the density has a hard edge at 0, where the fixed-point map
+    # contracts ever more slowly; Newton needs tens to hundreds of steps
+    # for both starts together, the damped iteration thousands
+    f = gramspec.constant_density(1.0)
+    z = complex(x, x / shrink)
+    pt = gramspec.solve_limit_density(f, 1.0, z)
+    assert abs(pt.s_under - mp_transform(z, 1.0)) < 1e-10
+    assert pt.residual <= 1e-12
+    assert pt.iterations < 1000
+
+
+def test_cold_start_reaches_mp_root_for_tall_aspect():
+    # from the start -1/z, plain Newton on the residual leaves the upper
+    # half-plane here and runs off to infinity within a few steps
+    c = 2.0
+    z = complex(0.1084024161943907, 0.05)
+    f = gramspec.constant_density(1.0)
+    g, w = limit._nodes(f, 0)
+    s, resid, _, status = _kernels.fixed_point(
+        z, g, w * (c / math.pi), -1.0 / z, 1e-13, 10_000)
+    assert status == 0 and resid <= 1e-13
+    assert abs(s - mp_transform(z, c)) < 1e-10
+    pt = gramspec.solve_limit_density(f, c, z)
+    assert abs(pt.s_under - mp_transform(z, c)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
 # argument validation
 
 
@@ -106,10 +140,6 @@ def test_solver_settings_validation():
         gramspec.SolverSettings(tol=0.0)
     with pytest.raises(DomainError):
         gramspec.SolverSettings(max_iter=0)
-    with pytest.raises(DomainError):
-        gramspec.SolverSettings(damping=0.0)
-    with pytest.raises(DomainError):
-        gramspec.SolverSettings(damping=1.5)
     with pytest.raises(DomainError):
         gramspec.SolverSettings(quad_tol=-1.0)
 
