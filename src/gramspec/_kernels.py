@@ -111,11 +111,15 @@ def tridiagonalize_numpy(a: np.ndarray):
     a = np.array(a, dtype=np.float64, order="C")
     n = a.shape[0]
     e = np.zeros(n)
+    # rows v and q of the rank-2 update a -= q v^T + v q^T, done as one
+    # (i x 2) @ (2 x i) product
+    vq = np.empty((2, n))
     for i in range(n - 1, 0, -1):
         if i == 1:
             e[1] = a[1, 0]
             continue
-        v = a[i, :i].copy()
+        v = vq[0, :i]
+        v[:] = a[i, :i]
         scale = float(np.sum(np.abs(v)))
         if scale == 0.0:
             e[i] = a[i, i - 1]
@@ -130,8 +134,8 @@ def tridiagonalize_numpy(a: np.ndarray):
         blk = a[:i, :i]
         p = (blk @ v) / h
         kk = float(p @ v) / (2.0 * h)
-        q = p - kk * v
-        blk -= np.outer(q, v) + np.outer(v, q)
+        np.subtract(p, kk * v, out=vq[1, :i])
+        blk -= vq[::-1, :i].T @ vq[:, :i]
     d = np.diag(a).copy()
     if n == 1:
         d[0] = a[0, 0]

@@ -158,24 +158,44 @@ def _check_budget(n_rows: int, n_cols: int, filt_len: int, budget: int) -> None:
             "raise the budget or shrink the run")
 
 
+def _smooth_length(m: int) -> int:
+    # Smallest n >= m whose only prime factors are 2, 3 and 5.
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            n = p35
+            while n < m:
+                n <<= 1
+            best = min(best, n)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _linear_values(filt: LinearFilter, law: InnovationLaw, n_rows: int,
                    n_cols: int, seed: int, stream: int) -> np.ndarray:
+    # Row i is np.convolve(eps_i, coeffs, "valid"): outputs flen-1 .. m-1 of
+    # the full convolution.  A circular convolution of any length >= m
+    # leaves those indices unwrapped, so the FFT length is the shortest
+    # 5-smooth one >= m.
     coeffs = filt.coeffs
     flen = coeffs.size
     m = n_cols + flen - 1  # innovations per row
-    nfft = 1
-    while nfft < n_cols + 2 * flen - 2:
-        nfft <<= 1
+    nfft = _smooth_length(m)
     kern = np.fft.rfft(coeffs, nfft)
     out = np.empty((n_rows, n_cols))
-    chunk = max(1, min(n_rows, (1 << 23) // max(nfft, 1)))
+    chunk = max(1, min(n_rows, (1 << 22) // nfft))
     for lo in range(0, n_rows, chunk):
         hi = min(lo + chunk, n_rows)
         eps = np.empty((hi - lo, m))
         for i in range(lo, hi):
             eps[i - lo] = law.sample(row_rng(seed, i, stream), m)
-        conv = np.fft.irfft(np.fft.rfft(eps, nfft, axis=1) * kern, nfft, axis=1)
-        out[lo:hi] = conv[:, flen - 1:flen - 1 + n_cols]
+        spec = np.fft.rfft(eps, nfft, axis=1)
+        spec *= kern
+        conv = np.fft.irfft(spec, nfft, axis=1)
+        out[lo:hi] = conv[:, flen - 1:m]
     return out
 
 

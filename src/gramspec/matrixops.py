@@ -10,7 +10,6 @@ test suite.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -166,31 +165,3 @@ def gram_stieltjes_identity(x, z: complex) -> tuple[complex, complex]:
     n_tot = nn + pp
     rhs = s_sym * n_tot / (2.0 * pp * w) + (nn - pp) / (2.0 * pp * z)
     return lhs, rhs
-
-
-def esd_to_text(e: Esd, path) -> None:
-    """One eigenvalue per line."""
-    with open(path, "w") as fh:
-        for v in e.eigs:
-            fh.write(f"{v:.17g}\n")
-
-
-def esd_to_csv(e: Esd, path) -> None:
-    """CSV rows (index, lambda)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "lambda"])
-        for i, v in enumerate(e.eigs):
-            writer.writerow([i, f"{v:.17g}"])
-
-
-def stieltjes_curve_to_csv(path, zs, values) -> None:
-    """CSV rows (re_z, im_z, re_s, im_s)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_z", "im_z", "re_s", "im_s"])
-        for z, s in zip(zs, values):
-            z = complex(z)
-            s = complex(s)
-            writer.writerow([f"{z.real:.17g}", f"{z.imag:.17g}",
-                             f"{s.real:.17g}", f"{s.imag:.17g}"])

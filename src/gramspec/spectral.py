@@ -261,22 +261,19 @@ def filter_from_density(f: SpectralDensity, tail_tol: float = 1e-6,
                         hard_cap: int = MAX_FILTER_HALF_LENGTH) -> LinearFilter:
     """Symmetric-support moving-average filter reproducing the density f.
 
-    a_k come from singularity-refined quadrature of cos(kx) sqrt(f(x)); the
-    half-length K doubles until the certified discarded tail
+    a_k come from singularity-refined quadrature of cos(kx) sqrt(f(x)),
+    cached per (f, K); the half-length K doubles from 64 until the
+    certified discarded tail
     c_0 - sum of a_k^2 drops below tail_tol * c_0.  Raises
     TailToleranceUnreachable if that needs K beyond hard_cap.
     """
     if tail_tol <= 0:
         raise DomainError("tail_tol must be positive")
     c0 = covariance_from_density(f, 0)
-    marks = _singular_in_half(f) + _refine_points(f)
     scale = 2.0 / math.sqrt(TWO_PI)
     k = 64
     while True:
-        block = quadrature.cosine_coefficients(
-            lambda x: np.sqrt(density_values(f, x)), k,
-            singular=marks, rel_tol=1e-10)
-        a = scale * block
+        a = scale * _cosine_block(f, k, "root", 1e-10)
         sum_sq = a[0] ** 2 + 2.0 * float(np.dot(a[1:], a[1:]))
         tail = max(c0 - sum_sq, 0.0)
         if tail <= tail_tol * c0:

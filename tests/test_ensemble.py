@@ -138,6 +138,27 @@ def test_generate_linear_rows_row_extension_is_stable():
     np.testing.assert_array_equal(big.values[:4], small.values)
 
 
+@pytest.mark.parametrize("flen, n_cols, law", [
+    (37, 10, gramspec.rademacher_law()),  # filter longer than a row
+    (1, 13, gramspec.gaussian_law()),     # one tap; m = 13 is prime
+    (20, 78, gramspec.student_t_law(6.0)),  # m = 97 is prime
+])
+def test_generate_linear_rows_is_valid_convolution(flen, n_cols, law):
+    # each row is the "valid" part of the full convolution of its own
+    # innovations with the filter, so the FFT route must never wrap
+    coeffs = np.random.default_rng(flen).standard_normal(flen)
+    filt = gramspec.LinearFilter(flen // 2, coeffs)
+    seed, stream, n_rows = 4, 3, 6
+    dm = gramspec.generate_linear_rows(filt, law, n_rows, n_cols, seed,
+                                       stream=stream)
+    m = n_cols + flen - 1
+    for i in range(n_rows):
+        eps = law.sample(ensemble.row_rng(seed, i, stream), m)
+        expect = np.convolve(eps, coeffs, "valid")
+        tol = 1e-13 * np.sum(np.abs(coeffs)) * np.max(np.abs(eps))
+        assert float(np.max(np.abs(dm.values[i] - expect))) <= tol
+
+
 def test_generate_toeplitz_gaussian_rows_covariance():
     f = gramspec.ar1_density(0.5, 1.0)
     dm = gramspec.generate_toeplitz_gaussian_rows(f, 4000, 6, seed=3)

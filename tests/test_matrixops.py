@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import gramspec
-from gramspec import matrixops
 from gramspec.errors import DomainError
 
 from _oracles import charpoly_coefficients
@@ -149,39 +148,3 @@ def test_gram_stieltjes_identity_agrees_on_random_instances():
         z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.0))
         lhs, rhs = gramspec.gram_stieltjes_identity(x, z)
         assert abs(lhs - rhs) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# text exports (deterministic full-precision)
-
-
-def test_esd_exports_roundtrip(tmp_path):
-    eigs = np.array([0.1234567890123456, 1.0, math.pi])
-    e = gramspec.Esd(eigs)
-    csv_path = tmp_path / "esd.csv"
-    matrixops.esd_to_csv(e, csv_path)
-    rows = csv_path.read_text().strip().splitlines()
-    assert rows[0].lower().startswith("index")
-    back = [float(r.split(",")[1]) for r in rows[1:]]
-    np.testing.assert_array_equal(back, eigs)
-    # byte-determinism
-    again = tmp_path / "esd2.csv"
-    matrixops.esd_to_csv(e, again)
-    assert csv_path.read_bytes() == again.read_bytes()
-
-    txt_path = tmp_path / "esd.txt"
-    matrixops.esd_to_text(e, txt_path)
-    vals = [float(t) for t in txt_path.read_text().split()]
-    np.testing.assert_array_equal(vals, eigs)
-
-
-def test_stieltjes_curve_export(tmp_path):
-    zs = [0.5 + 0.1j, 1.0 + 0.2j]
-    vals = [complex(-1.0, 0.5), complex(-0.3, 0.9)]
-    path = tmp_path / "curve.csv"
-    matrixops.stieltjes_curve_to_csv(path, zs, vals)
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == 3
-    cells = rows[1].split(",")
-    assert float(cells[0]) == 0.5 and float(cells[1]) == 0.1
-    assert float(cells[2]) == -1.0 and float(cells[3]) == 0.5

@@ -128,11 +128,11 @@ def test_cosine_orthogonality_picks_single_mode():
 
 def test_cosine_linear_function_closed_form():
     # integral of x cos(kx) over [0, pi] = ((-1)^k - 1)/k^2 for k >= 1
-    out = cosine_coefficients(lambda x: x, 9)
+    out = cosine_coefficients(lambda x: x, 2048)
+    k = np.arange(1, 2049, dtype=float)
+    expect = ((-1.0) ** k - 1.0) / k**2
     assert abs(out[0] - math.pi**2 / 2) < 1e-11
-    for k in range(1, 10):
-        expect = ((-1.0) ** k - 1.0) / k**2
-        assert abs(out[k] - expect) < 1e-11
+    assert float(np.max(np.abs(out[1:] - expect))) < 1e-11
 
 
 def test_cosine_high_frequency_of_singular_integrand_matches_oracle():
@@ -146,6 +146,22 @@ def test_cosine_high_frequency_of_singular_integrand_matches_oracle():
     out = cosine_coefficients(fn, 128, singular=f.singular_points)
     scale = math.sqrt(2.0 * math.pi) / 2.0
     for k in (0, 1, 2, 5, 20, 64, 100, 127, 128):
+        oracle = scale * fractional_filter_coeff(k, d, 1.0)
+        assert abs(out[k] - oracle) / abs(oracle) < 1e-9, f"k={k}"
+
+
+@pytest.mark.parametrize("k_cap", [1000, 4096])
+def test_cosine_high_k_of_singular_integrand_matches_oracle(k_cap):
+    # the angle-addition split k = q*b + r with b = floor(sqrt(K + 1)):
+    # block boundaries (63, 64, 65), the last partial block, and a K + 1
+    # that b does not divide (K = 1000)
+    d = 0.3
+    f = spectral.fractional_density(d, 1.0)
+    fn = lambda x: np.sqrt(spectral.density_values(f, x))
+    out = cosine_coefficients(fn, k_cap, singular=f.singular_points)
+    assert out.shape == (k_cap + 1,)
+    scale = math.sqrt(2.0 * math.pi) / 2.0
+    for k in (0, 63, 64, 65, 999, 1000, k_cap - 1, k_cap):
         oracle = scale * fractional_filter_coeff(k, d, 1.0)
         assert abs(out[k] - oracle) / abs(oracle) < 1e-9, f"k={k}"
 
