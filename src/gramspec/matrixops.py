@@ -2,10 +2,9 @@
 Stieltjes transforms.
 
 The eigensolver is the package's own: Householder tridiagonalization
-followed by implicit-shift iteration (numba path) or Sturm bisection
-(numpy path), with a 30n sweep cap.  Nothing here calls a library
-eigensolver; library routines appear only as independent oracles in the
-test suite.
+followed by root-free implicit-shift QL, with a 30n sweep cap, one
+algorithm at every order.  Nothing here calls a library eigensolver;
+library routines appear only as independent oracles in the test suite.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Independently derived closed forms used as test oracles.
 
 Everything here is computed from textbook identities (gamma-function
-ratios, the Marchenko-Pastur quadratic, Faddeev-LeVerrier recursion) with
-no calls into the package's own numeric pipelines, so agreement is
-evidence rather than tautology.
+ratios, the Marchenko-Pastur quadratic, Faddeev-LeVerrier recursion) or by
+brute force (bisection on the Levy corridor predicate), with no calls into
+the package's own numeric pipelines, so agreement is evidence rather than
+tautology.
 """
 
 import cmath
@@ -125,3 +126,57 @@ def ar1_pushforward_cdf(x, phi: float, sigma2: float = 1.0) -> np.ndarray:
             val = 1.0 - math.acos(min(1.0, max(-1.0, cos_lam))) / math.pi
         out.ravel()[i] = val
     return out
+
+
+def _step_cdf_values(cdf, t, side: str) -> np.ndarray:
+    """F(t) (side "right") or F(t-) (side "left") of a StepCdf-shaped
+    object, read from its breakpoint arrays alone: 0 left of xs[0], linear
+    from right[i] to left[i+1] between breakpoints, right[-1] past the
+    last one."""
+    xs = np.asarray(cdf.xs, dtype=float)
+    fl = np.asarray(cdf.left, dtype=float)
+    fr = np.asarray(cdf.right, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    for k, tv in enumerate(t):
+        i = int(np.searchsorted(xs, tv, side="right")) - 1
+        if i < 0:
+            continue
+        if tv == xs[i]:
+            out[k] = (fl if side == "left" else fr)[i]
+        elif i == xs.size - 1:
+            out[k] = fr[-1]
+        else:
+            frac = (tv - xs[i]) / (xs[i + 1] - xs[i])
+            out[k] = fr[i] + frac * (fl[i + 1] - fr[i])
+    return out
+
+
+def levy_corridor_holds(f, g, eps: float) -> bool:
+    """The Levy corridor G(x - eps) - eps <= F(x) <= G(x + eps) + eps for
+    every real x, checked at every breakpoint of both sides, eps-shifted
+    ones included, from the left and from the right.  Between those points
+    both sides are linear, so the mesh decides the whole line."""
+    for a, b in ((f, g), (g, f)):
+        ts = np.unique(np.concatenate((a.xs, np.asarray(b.xs) - eps)))
+        for side in ("left", "right"):
+            if np.any(_step_cdf_values(a, ts, side)
+                      > _step_cdf_values(b, ts + eps, side) + eps + 1e-15):
+                return False
+    return True
+
+
+def levy_by_bisection(f, g, steps: int = 60) -> float:
+    """Brute-force Levy distance: bisection on the corridor predicate over
+    [0, 1 + span], returning the upper end of the last bracket."""
+    if levy_corridor_holds(f, g, 0.0):
+        return 0.0
+    span = max(f.xs[-1], g.xs[-1]) - min(f.xs[0], g.xs[0])
+    lo, hi = 0.0, 1.0 + span
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if levy_corridor_holds(f, g, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

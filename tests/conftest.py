@@ -1,4 +1,4 @@
-"""Shared fixtures: jit warm-up and the acceptance report table."""
+"""Shared fixtures: kernel warm-up and the acceptance report table."""
 
 import time
 
@@ -12,7 +12,7 @@ _ACCEPTANCE_ROWS = {}
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Compile the hot kernels once so no test pays the jit tax."""
+    """Run the hot kernels once so no test pays their first-call cost."""
     gramspec.warm_up()
 
 

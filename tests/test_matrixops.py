@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gramspec
-from gramspec.errors import DomainError
+from gramspec import _kernels
+from gramspec.errors import DomainError, EigenNonConvergence
 
 from _oracles import charpoly_coefficients
 
@@ -57,15 +58,65 @@ def test_symmetrize_gram_squares_to_gram_spectrum():
 # eigensolver versus an independent dense routine
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64, 128])
-def test_eigenvalues_match_lapack(n):
-    rng = np.random.default_rng(n)
-    a = rng.standard_normal((n, n))
-    a = (a + a.T) / 2.0
+def _wilkinson_plus(n: int) -> np.ndarray:
+    half = n // 2
+    return (np.diag(np.abs(np.arange(n) - half).astype(float))
+            + np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def _low_rank_gram(seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((20, 4))
+    return a @ a.T  # 16 exact zero eigenvalues
+
+
+def _random_symmetric(seed: int, n: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return (a + a.T) / 2.0
+
+
+_STRUCTURED = {
+    "ones-5": lambda: np.ones((5, 5)),
+    "zeros-4": lambda: np.zeros((4, 4)),
+    "eye-5": lambda: np.eye(5),
+    "embedding-rectangular": lambda: gramspec.symmetrize_gram(
+        np.random.default_rng(7).standard_normal((9, 4))).values,
+    "embedding-square": lambda: gramspec.symmetrize_gram(
+        np.random.default_rng(8).standard_normal((6, 6))).values,
+    "wilkinson-21": lambda: _wilkinson_plus(21),
+    "graded-diagonal": lambda: np.diag(10.0 ** -np.arange(16.0)),
+    "scaled-1e150": lambda: 1e150 * _random_symmetric(9, 30),
+    "scaled-1e-150": lambda: 1e-150 * _random_symmetric(9, 30),
+    # squared off-diagonals would overflow / underflow without rescaling
+    "scaled-1e200": lambda: 1e200 * _random_symmetric(9, 30),
+    "scaled-1e-200": lambda: 1e-200 * _random_symmetric(9, 30),
+    "low-rank-gram": lambda: _low_rank_gram(10),
+}
+
+
+# random symmetric matrices by order, then structured cases by name
+@pytest.mark.parametrize("case", [1, 2, 3, 5, 16, 64, 128, *_STRUCTURED])
+def test_eigenvalues_match_lapack(case):
+    if isinstance(case, int):
+        a = _random_symmetric(case, case)
+    else:
+        a = _STRUCTURED[case]()
     got = gramspec.symmetric_eigenvalues(gramspec.SymMatrix(a)).eigs
     expect = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    np.testing.assert_allclose(np.sort(got), expect, atol=1e-10 * scale)
+    # relative to the spectral radius; exact for the zero matrix
+    np.testing.assert_allclose(got, expect, rtol=0.0,
+                               atol=1e-13 * float(np.max(np.abs(expect))))
+
+
+def test_sweep_cap_raises_eigen_non_convergence(monkeypatch):
+    solve = _kernels.tridiagonal_eigenvalues
+    monkeypatch.setattr(_kernels, "tridiagonal_eigenvalues",
+                        lambda d, e, cap: solve(d, e, 0))
+    with pytest.raises(EigenNonConvergence) as info:
+        gramspec.symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    assert info.value.index == 0
+    # a diagonal matrix deflates without a single sweep
+    got = gramspec.symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0])).eigs
+    np.testing.assert_array_equal(got, [1.0, 2.0, 3.0])
 
 
 def test_eigenvalues_degenerate_and_diagonal():
@@ -98,8 +149,9 @@ def test_symmetric_eigenvalues_accepts_raw_arrays_and_validates():
         gramspec.symmetric_eigenvalues(np.ones((2, 3)))
 
 
-# Sturm bisection starts at the middle of the Gershgorin interval; every case
-# below puts that first midpoint exactly on a diagonal entry
+# regression cases from the former Sturm bisection eigensolver, whose first
+# midpoint (the middle of the Gershgorin interval) landed exactly on a
+# diagonal entry in every case below
 @pytest.mark.parametrize("a, expect", [
     # zero-diagonal embedding of X = [[1]]: [[0, 1], [1, 0]]
     (gramspec.symmetrize_gram(np.array([[1.0]])), [-1.0, 1.0]),

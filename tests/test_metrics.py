@@ -1,12 +1,15 @@
 """Step CDFs, Levy and Kolmogorov metrics, trace-inequality bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import gramspec
-from gramspec.errors import DomainError
+from gramspec.errors import DomainError, ExtrapolationWarning
+
+from _oracles import levy_by_bisection
 
 
 def _dirac(t: float) -> gramspec.StepCdf:
@@ -74,6 +77,62 @@ def test_levy_between_point_masses(t):
     # classical value: L(delta_0, delta_t) = min(t, 1)
     got = gramspec.levy_distance(_dirac(0.0), _dirac(t))
     assert got == pytest.approx(min(t, 1.0), abs=2e-6)
+
+
+def test_levy_between_shifted_point_masses_is_exact():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        s = rng.uniform(-50.0, 50.0)
+        t = rng.uniform(0.0, 3.0)
+        got = gramspec.levy_distance(_dirac(s), _dirac(s + t))
+        assert got == pytest.approx(min(t, 1.0), abs=1e-14 * (1.0 + abs(s)))
+
+
+def test_levy_of_identical_cdfs_is_zero():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        f = _random_cdf(rng, int(rng.integers(1, 20)))
+        twin = gramspec.StepCdf(f.xs.copy(), f.left.copy(), f.right.copy())
+        assert gramspec.levy_distance(f, f) == 0.0
+        assert gramspec.levy_distance(f, twin) == 0.0
+
+
+def test_levy_matches_corridor_bisection_on_atoms():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        k1, k2 = (int(k) for k in rng.integers(1, 15, 2))
+        # rounded positions make shared breakpoints and merged atoms common
+        f, g = (gramspec.StepCdf.from_weights(
+                    np.round(rng.uniform(-1.0, 3.0, k), 1),
+                    rng.dirichlet(np.ones(k))) for k in (k1, k2))
+        got = gramspec.levy_distance(f, g)
+        assert got == pytest.approx(levy_by_bisection(f, g), abs=1e-12)
+        assert gramspec.levy_distance(g, f) == pytest.approx(got, abs=1e-15)
+
+
+def test_levy_esd_against_sub_probability_limit_matches_bisection():
+    dens = gramspec.constant_density(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        lim = gramspec.invert_to_distribution(
+            dens, 2.0, gramspec.default_x_grid(dens, 2.0, 64))
+    assert lim.atom0 > 0.0  # c = 2: half the mass sits at zero
+    full = gramspec.StepCdf.from_limit(lim)
+    # capped at 0.9, so the right tails differ by a fixed mass whatever
+    # mass the solved limit ends at
+    capped = gramspec.StepCdf(full.xs, np.minimum(full.left, 0.9),
+                              np.minimum(full.right, 0.9))
+    rng = np.random.default_rng(14)
+    for n_rows in (30, 60):
+        x = rng.standard_normal((n_rows, 2 * n_rows))
+        esd = gramspec.StepCdf.from_esd(
+            gramspec.symmetric_eigenvalues(gramspec.gram(x)))
+        for limit_cdf in (full, capped):
+            expect = levy_by_bisection(esd, limit_cdf)
+            for a, b in ((esd, limit_cdf), (limit_cdf, esd)):
+                assert gramspec.levy_distance(a, b) == pytest.approx(
+                    expect, abs=1e-12)
+        assert gramspec.levy_distance(esd, capped) >= 0.1 - 1e-12
 
 
 def test_kolmogorov_between_point_masses():
