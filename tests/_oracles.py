@@ -166,14 +166,15 @@ def levy_corridor_holds(f, g, eps: float) -> bool:
     return True
 
 
-def levy_by_bisection(f, g, steps: int = 60) -> float:
-    """Brute-force Levy distance: bisection on the corridor predicate over
-    [0, 1 + span], returning the upper end of the last bracket."""
+def levy_by_bisection(f, g) -> float:
+    """Brute-force Levy distance: 60 bisection steps on the corridor
+    predicate over [0, 1 + span], returning the upper end of the last
+    bracket."""
     if levy_corridor_holds(f, g, 0.0):
         return 0.0
     span = max(f.xs[-1], g.xs[-1]) - min(f.xs[0], g.xs[0])
     lo, hi = 0.0, 1.0 + span
-    for _ in range(steps):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if levy_corridor_holds(f, g, mid):
             hi = mid
