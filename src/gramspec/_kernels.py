@@ -1,10 +1,11 @@
 """Hot numeric kernels.
 
 One implementation of each, at every input size: Householder
-tridiagonalization in numpy (one rank-2 product per column), root-free
-implicit-shift QL for the eigenvalues of the tridiagonal matrix (a plain
-Python loop on Python floats), and ``fixed_point``, the safeguarded Newton
-iteration that solves the limiting equation.
+tridiagonalization in numpy (the rank-2 updates of each panel of 32
+columns applied as one product, those of the last 32 columns one at a
+time), root-free implicit-shift QL for the eigenvalues of the tridiagonal
+matrix (a plain Python loop on Python floats), and ``fixed_point``, the
+safeguarded Newton iteration that solves the limiting equation.
 """
 
 from __future__ import annotations
@@ -21,37 +22,67 @@ def backend_name() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Householder tridiagonalization (eigenvalues only, lower triangle).
+# Householder tridiagonalization (eigenvalues only), blocked by panels.
+
+# Panel width: reflectors whose rank-2 updates are deferred and applied to the
+# trailing block as one product.
+_NB = 32
+
 
 def tridiagonalize(a: np.ndarray):
+    """Diagonal d and off-diagonal e (e[i] couples rows i-1 and i) of a
+    tridiagonal matrix orthogonally similar to the symmetric matrix a.
+
+    Rows are reduced from the last up, as in EISPACK tred1, with the
+    updates deferred over panels of _NB reflectors as in LAPACK
+    dsytrd/dlatrd.  Row i's Householder vector u and the vector q of its
+    update a -= q u^T + u q^T are kept in the store s: the j-th pair of a
+    panel puts u in row _NB-1-j and q in row _NB+j.  With k pairs stored,
+    w = s[_NB-k:_NB+k] pairs each u with its q in w[::-1], so the pending
+    update is w[::-1].T @ w.  A row is brought up to date by one small
+    product against w before its reflector is built, and the product of
+    the stale trailing block with u is corrected by w the same way.  After
+    _NB pairs, or at once when the trailing block has order at most _NB,
+    the pending update goes into the trailing block as one product.  The
+    input is not modified.
+    """
     a = np.array(a, dtype=np.float64, order="C")
     n = a.shape[0]
     e = np.zeros(n)
-    # rows v and q of the rank-2 update a -= q v^T + v q^T, done as one
-    # (i x 2) @ (2 x i) product
-    vq = np.empty((2, n))
-    for i in range(n - 1, 0, -1):
-        if i == 1:
-            e[1] = a[1, 0]
-            continue
-        v = vq[0, :i]
+    s = np.empty((2 * _NB, n))
+    k = 0
+    for i in range(n - 1, 1, -1):
+        if k:  # bring row i up to date
+            w = s[_NB - k:_NB + k]
+            a[i, :i + 1] -= w[::-1, i] @ w[:, :i + 1]
+        v = s[_NB - 1 - k, :i]
         v[:] = a[i, :i]
         scale = float(np.sum(np.abs(v)))
+        blk = a[:i, :i]
         if scale == 0.0:
             e[i] = a[i, i - 1]
-            continue
-        v /= scale
-        h = float(v @ v)
-        f = v[-1]
-        g = -math.sqrt(h) if f >= 0.0 else math.sqrt(h)
-        e[i] = scale * g
-        h -= f * g
-        v[-1] = f - g
-        blk = a[:i, :i]
-        p = (blk @ v) / h
-        kk = float(p @ v) / (2.0 * h)
-        np.subtract(p, kk * v, out=vq[1, :i])
-        blk -= vq[::-1, :i].T @ vq[:, :i]
+        else:
+            v /= scale
+            h = float(v @ v)
+            f = v[-1]
+            g = -math.sqrt(h) if f >= 0.0 else math.sqrt(h)
+            e[i] = scale * g
+            h -= f * g
+            v[-1] = f - g
+            p = blk @ v
+            if k:
+                w = s[_NB - k:_NB + k, :i]
+                p -= (w @ v)[::-1] @ w
+            p /= h
+            kk = float(p @ v) / (2.0 * h)
+            np.subtract(p, kk * v, out=s[_NB + k, :i])
+            k += 1
+        if k == _NB or (k and i <= _NB):
+            w = s[_NB - k:_NB + k, :i]
+            blk -= w[::-1].T @ w
+            k = 0
+    if n > 1:
+        e[1] = a[1, 0]
     return np.diag(a).copy(), e
 
 

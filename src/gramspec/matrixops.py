@@ -112,16 +112,19 @@ def symmetrize_gram(x, n_rows: int | None = None,
 
 
 def symmetric_eigenvalues(a) -> Esd:
-    """All eigenvalues of a symmetric matrix, sorted ascending."""
-    arr = _as_array(a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DomainError("need a square matrix")
-    n = arr.shape[0]
+    """All eigenvalues of a symmetric matrix, sorted ascending.
+
+    A raw array is read as a SymMatrix: its lower triangle is
+    authoritative and its entries must be finite.
+    """
+    if not isinstance(a, SymMatrix):
+        a = SymMatrix(a)
+    n = a.n
     if n < 1:
         raise DomainError("order must be >= 1")
     if n > MAX_ORDER:
         raise DomainError(f"order {n} exceeds the configured cap {MAX_ORDER}")
-    d, e = _kernels.tridiagonalize(arr)
+    d, e = _kernels.tridiagonalize(a.values)
     eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * n)
     if status:
         raise EigenNonConvergence(

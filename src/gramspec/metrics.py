@@ -188,11 +188,6 @@ def kolmogorov_distance(f: StepCdf, g: StepCdf) -> float:
     return best
 
 
-def _sym_stieltjes(a: SymMatrix, z: complex) -> complex:
-    eigs = symmetric_eigenvalues(a).eigs
-    return complex(np.mean(1.0 / (eigs - z)))
-
-
 def stieltjes_diff_bound(a: SymMatrix, b: SymMatrix,
                          z: complex) -> tuple[float, float]:
     """Trace-difference bound on Stieltjes transforms of two symmetric

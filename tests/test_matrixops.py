@@ -94,7 +94,8 @@ _STRUCTURED = {
 
 
 # random symmetric matrices by order, then structured cases by name
-@pytest.mark.parametrize("case", [1, 2, 3, 5, 16, 64, 128, *_STRUCTURED])
+@pytest.mark.parametrize("case", [1, 2, 3, 5, 16, 33, 64, 100, 128, 300,
+                                  *_STRUCTURED])
 def test_eigenvalues_match_lapack(case):
     if isinstance(case, int):
         a = _random_symmetric(case, case)
@@ -145,8 +146,23 @@ def test_symmetric_eigenvalues_accepts_raw_arrays_and_validates():
     # the lower triangle is authoritative: the upper entry is ignored
     skew = gramspec.symmetric_eigenvalues(np.array([[0.0, 9.0], [0.5, 0.0]]))
     np.testing.assert_allclose(np.sort(skew.eigs), [-0.5, 0.5], atol=1e-13)
+    # likewise at larger orders, the last one beyond a tridiagonalization
+    # panel
+    rng = np.random.default_rng(12)
+    for n in (6, 40):
+        low = np.tril(rng.standard_normal((n, n)))
+        junk = np.triu(rng.uniform(5.0, 10.0, (n, n)), 1)
+        expect = np.linalg.eigvalsh(low + np.tril(low, -1).T)
+        got = gramspec.symmetric_eigenvalues(low + junk).eigs
+        np.testing.assert_allclose(got, expect, rtol=0.0,
+                                   atol=1e-13 * float(np.max(np.abs(expect))))
     with pytest.raises(DomainError):
         gramspec.symmetric_eigenvalues(np.ones((2, 3)))
+    inf_below = np.eye(3)
+    inf_below[2, 0] = np.inf
+    for bad in (np.full((3, 3), np.nan), inf_below):
+        with pytest.raises(DomainError, match="finite"):
+            gramspec.symmetric_eigenvalues(bad)
 
 
 # regression cases from the former Sturm bisection eigensolver, whose first
