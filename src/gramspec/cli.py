@@ -24,7 +24,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import shutil
 import sys
@@ -45,8 +44,8 @@ from .limit import (LimitDistribution, SolverSettings, default_x_grid,
                     truncation_ladder)
 from .matrixops import Esd, gram, symmetric_eigenvalues
 from .metrics import StepCdf, kolmogorov_distance, levy_distance
-from .spectral import (SpectralDensity, TWO_PI, density_from_spec,
-                       density_values, filter_from_density, h_pushforward)
+from .spectral import (SpectralDensity, density_from_spec,
+                       filter_from_density, h_pushforward, probe_values)
 
 _COMMANDS = ("solve", "simulate", "compare", "toeplitz", "universality",
              "truncation")
@@ -385,9 +384,7 @@ def _grid_for(cfg: ExperimentConfig, f: SpectralDensity, c: float):
 
 
 def _h_window(f: SpectralDensity) -> np.ndarray:
-    lam = np.linspace(0.0, math.pi, 16385)
-    v = TWO_PI * density_values(f, lam)
-    v = v[np.isfinite(v)]
+    v = probe_values(f)
     top = float(np.quantile(v, 1.0 - 1e-4)) * 1.5 + 1e-12
     return np.linspace(0.0, top, 1200)
 

@@ -34,9 +34,10 @@ class UniquenessError(GramspecError, RuntimeError):
 
 
 class EigenNonConvergence(GramspecError, RuntimeError):
-    """Implicit-shift iteration exceeded its sweep cap.
+    """An eigenvalue iteration exceeded its cap: the QL sweeps, or a
+    secular equation root in divide and conquer.
 
-    ``index`` is the eigenvalue position that failed to deflate.
+    ``index`` is the eigenvalue position that failed to converge.
     """
 
     def __init__(self, message: str, index: int):

@@ -30,7 +30,7 @@ from . import _kernels, quadrature
 from .errors import (DomainError, ExtrapolationWarning, HerglotzLoss,
                      NonConvergence, QuadratureError, UniquenessError)
 from .spectral import (SpectralDensity, TWO_PI, _refine_points,
-                       _singular_in_half, density_values)
+                       _singular_in_half, density_values, probe_values)
 
 # Reciprocal transformed-density values above this are treated as infinite
 # bins; the induced integral error is ~ c / _G_CAP, far below certificates.
@@ -475,11 +475,7 @@ def default_x_grid(f: SpectralDensity, c: float,
         raise DomainError("aspect ratio c must be positive")
     if n_points < 16:
         raise DomainError("n_points must be >= 16")
-    lam = np.linspace(0.0, math.pi, 16385)
-    v = TWO_PI * density_values(f, lam)
-    v = v[np.isfinite(v)]
-    if v.size == 0:
-        raise DomainError("density evaluates to +inf everywhere on the probe grid")
+    v = probe_values(f)
     hi_q = float(np.quantile(v, 1.0 - 3e-4))
     top = 1.05 * hi_q * (1.0 + math.sqrt(c)) ** 2
     vmin = float(np.min(v))

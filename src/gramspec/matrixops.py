@@ -1,10 +1,11 @@
 """Symmetric-matrix construction, eigendecomposition, ESDs, and empirical
 Stieltjes transforms.
 
-The eigensolver is the package's own: Householder tridiagonalization
-followed by root-free implicit-shift QL, with a 30n sweep cap, one
-algorithm at every order.  Nothing here calls a library eigensolver;
-library routines appear only as independent oracles in the test suite.
+The eigensolver is the package's own: Householder tridiagonalization,
+then the eigenvalues of the tridiagonal matrix by root-free implicit-shift
+QL up to order 32 and by divide and conquer above, with a 30n sweep cap
+on the QL.  Nothing here calls a library eigensolver; library routines
+appear only as independent oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -126,10 +127,15 @@ def symmetric_eigenvalues(a) -> Esd:
         raise DomainError(f"order {n} exceeds the configured cap {MAX_ORDER}")
     d, e = _kernels.tridiagonalize(a.values)
     eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * n)
-    if status:
+    if status > 0:
         raise EigenNonConvergence(
-            f"implicit-shift iteration exceeded the {30 * n} sweep cap "
+            f"implicit-shift QL exceeded the {30 * n} sweep cap "
             f"while deflating eigenvalue index {status - 1}", status - 1)
+    if status < 0:
+        raise EigenNonConvergence(
+            f"divide and conquer: the secular equation root for eigenvalue "
+            f"index {-status - 1} did not converge in "
+            f"{_kernels._SECULAR_MAXIT} iterations", -status - 1)
     return Esd(eigs)
 
 

@@ -145,6 +145,17 @@ def density_values(f: SpectralDensity, lam: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown density family {f.family!r}")
 
 
+def probe_values(f: SpectralDensity) -> np.ndarray:
+    """The finite values of 2 pi f at 16385 equispaced points of [0, pi],
+    from whose quantiles plotting and solver windows are sized."""
+    v = TWO_PI * density_values(f, np.linspace(0.0, math.pi, 16385))
+    v = v[np.isfinite(v)]
+    if v.size == 0:
+        raise DomainError(
+            "density evaluates to +inf everywhere on the probe grid")
+    return v
+
+
 def eval_density(f: SpectralDensity, lam: float) -> float:
     """Density value at a single lam in [-pi, pi]; +inf marks a singularity."""
     if not -math.pi <= lam <= math.pi:

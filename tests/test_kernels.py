@@ -1,5 +1,7 @@
 """The numeric kernels: eigensolver steps and the limit-equation solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,112 @@ def test_tridiagonalize_keeps_the_spectrum(case):
     eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * m.shape[0])
     assert status == 0
     np.testing.assert_allclose(eigs, expect, rtol=0.0, atol=atol)
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal eigenvalues above the QL order: divide and conquer
+
+
+def _tridiagonal(d, off) -> tuple[np.ndarray, np.ndarray]:
+    # (d, e) in the kernels' convention: e[i] couples rows i-1 and i
+    return np.asarray(d, dtype=float), np.concatenate([[0.0], off])
+
+
+def _glued_wilkinson(m: int, copies: int, glue: float):
+    # W21+ has pairs of eigenvalues that agree to about 1e-14; glued
+    # copies of Wm+ give clusters of nearly equal poles in every merge
+    w = np.abs(np.arange(m) - (m - 1) / 2.0)
+    off = np.tile(np.append(np.ones(m - 1), glue), copies)[:-1]
+    return _tridiagonal(np.tile(w, copies), off)
+
+
+def _split_at_top(n: int):
+    # random, with an exact zero where the top merge tears the matrix
+    rng = np.random.default_rng(17)
+    off = rng.standard_normal(n - 1)
+    off[n // 2 - 1] = 0.0
+    return _tridiagonal(rng.standard_normal(n), off)
+
+
+_DIVIDE_CASES = {
+    "glued-wilkinson-20x21": lambda: _glued_wilkinson(21, 20, 1e-10),
+    # wrong by 6e-8 if the eigenvector rows use z instead of z-hat
+    "glued-wilkinson-10x24": lambda: _glued_wilkinson(24, 10, 1e-4),
+    "laplacian-500": lambda: _tridiagonal(np.full(500, 2.0), -np.ones(499)),
+    "zero-at-top-split-64": lambda: _split_at_top(64),
+    "zero-at-top-split-301": lambda: _split_at_top(301),
+    # every off-diagonal negative, some far below eps of the norm
+    "graded-signs-100": lambda: _tridiagonal(
+        np.linspace(-1.0, 1.0, 100), -(10.0 ** -np.arange(99.0) / 5.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIVIDE_CASES))
+def test_divide_and_conquer_matches_eigvalsh(case):
+    d, e = _DIVIDE_CASES[case]()
+    t = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
+    expect = np.linalg.eigvalsh(t)
+    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
+    assert status == 0
+    np.testing.assert_allclose(eigs, expect, rtol=0.0,
+                               atol=1e-13 * float(np.max(np.abs(expect))))
+
+
+@pytest.mark.parametrize("k", [2, 40, 300])
+def test_merge_with_all_poles_equal(k):
+    # D = I with a dense z: the close-pole sweep deflates all poles but
+    # one, which takes 1 + rho with eigenvector z; the rotations keep each
+    # row's norm
+    rng = np.random.default_rng(k)
+    z = rng.standard_normal(k)
+    z /= np.linalg.norm(z)
+    rows = rng.standard_normal((2, k))
+    lam, new_rows = _kernels._merge(np.ones(k), z, 0.7, rows.copy(), 0)
+    np.testing.assert_allclose(lam, np.append(np.ones(k - 1), 1.7),
+                               rtol=0.0, atol=1e-14)
+    top = rows @ z
+    sign = np.sign(new_rows[0, -1] * top[0])
+    np.testing.assert_allclose(sign * new_rows[:, -1], top, atol=1e-13)
+    np.testing.assert_allclose(np.sum(new_rows ** 2, axis=1),
+                               np.sum(rows ** 2, axis=1), rtol=1e-13)
+
+
+@pytest.fixture(scope="module")
+def gram_1000_tridiagonal():
+    # the tridiagonal form of X^T X / N for a 2000 x 1000 Gaussian X
+    x = np.random.default_rng(1000).standard_normal((2000, 1000))
+    return _kernels.tridiagonalize(x.T @ x / 2000.0)
+
+
+def test_divide_and_conquer_at_order_1000(gram_1000_tridiagonal):
+    d, e = gram_1000_tridiagonal
+    t = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
+    expect = np.linalg.eigvalsh(t)
+    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
+    assert status == 0
+    np.testing.assert_allclose(eigs, expect, rtol=0.0,
+                               atol=1e-13 * float(np.max(np.abs(expect))))
+
+
+def test_divide_and_conquer_peak_allocation(gram_1000_tridiagonal):
+    # the secular solves work on (order x _CHUNK) blocks, never on an
+    # order x order matrix
+    d, e = gram_1000_tridiagonal
+    tracemalloc.start()
+    try:
+        _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_divide_and_conquer_keeps_ql_below_the_leaf_order(monkeypatch):
+    # orders up to _LEAF never reach the divide and conquer
+    def fail(*args):
+        raise AssertionError("divide and conquer ran")
+
+    monkeypatch.setattr(_kernels, "_divide", fail)
+    d, e = _split_at_top(_kernels._LEAF)
+    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
+    assert status == 0 and eigs.size == _kernels._LEAF

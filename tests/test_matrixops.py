@@ -64,9 +64,9 @@ def _wilkinson_plus(n: int) -> np.ndarray:
             + np.eye(n, k=1) + np.eye(n, k=-1))
 
 
-def _low_rank_gram(seed: int) -> np.ndarray:
-    a = np.random.default_rng(seed).standard_normal((20, 4))
-    return a @ a.T  # 16 exact zero eigenvalues
+def _low_rank_gram(seed: int, n: int = 20, r: int = 4) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((n, r))
+    return a @ a.T  # n - r exact zero eigenvalues
 
 
 def _random_symmetric(seed: int, n: int) -> np.ndarray:
@@ -90,12 +90,23 @@ _STRUCTURED = {
     "scaled-1e200": lambda: 1e200 * _random_symmetric(9, 30),
     "scaled-1e-200": lambda: 1e-200 * _random_symmetric(9, 30),
     "low-rank-gram": lambda: _low_rank_gram(10),
+    # above the QL order, the divide and conquer: many zero z entries
+    "low-rank-gram-300x60": lambda: _low_rank_gram(11, 300, 60),
+    # tridiagonal form: the identity but for one 2 x 2 block, so the
+    # merges see equal poles with z entries below the deflation tolerance
+    "identity-plus-rank-one-200": lambda: np.eye(200) + np.outer(
+        *2 * [np.random.default_rng(12).standard_normal(200)]),
+    "scaled-1e200-300": lambda: 1e200 * _random_symmetric(13, 300),
+    "scaled-1e-200-300": lambda: 1e-200 * _random_symmetric(13, 300),
+    # zero diagonal, eigenvalues in +/- pairs and 10 zeros
+    "embedding-50x40": lambda: gramspec.symmetrize_gram(
+        np.random.default_rng(14).standard_normal((50, 40))).values,
 }
 
 
 # random symmetric matrices by order, then structured cases by name
-@pytest.mark.parametrize("case", [1, 2, 3, 5, 16, 33, 64, 100, 128, 300,
-                                  *_STRUCTURED])
+@pytest.mark.parametrize("case", [1, 2, 3, 5, 16, 33, 64, 65, 100, 128, 257,
+                                  300, *_STRUCTURED])
 def test_eigenvalues_match_lapack(case):
     if isinstance(case, int):
         a = _random_symmetric(case, case)
@@ -118,6 +129,23 @@ def test_sweep_cap_raises_eigen_non_convergence(monkeypatch):
     # a diagonal matrix deflates without a single sweep
     got = gramspec.symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0])).eigs
     np.testing.assert_array_equal(got, [1.0, 2.0, 3.0])
+
+
+def test_divide_and_conquer_caps_raise_eigen_non_convergence(monkeypatch):
+    # order 80 goes to the divide and conquer: a leaf's QL sweeps share
+    # the 30n cap, and each secular root has _SECULAR_MAXIT steps
+    a = _random_symmetric(15, 80)
+    solve = _kernels.tridiagonal_eigenvalues
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "tridiagonal_eigenvalues",
+                  lambda d, e, cap: solve(d, e, 0))
+        with pytest.raises(EigenNonConvergence, match="sweep cap") as info:
+            gramspec.symmetric_eigenvalues(a)
+        assert info.value.index == 0
+    monkeypatch.setattr(_kernels, "_SECULAR_MAXIT", 0)
+    with pytest.raises(EigenNonConvergence, match="secular") as info:
+        gramspec.symmetric_eigenvalues(a)
+    assert 0 <= info.value.index < 80
 
 
 def test_eigenvalues_degenerate_and_diagonal():
