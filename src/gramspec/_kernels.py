@@ -3,10 +3,11 @@
 Householder tridiagonalization in numpy (the rank-2 updates of each panel
 of 32 columns applied as one product, those of the last 32 columns one at
 a time); the eigenvalues of the tridiagonal matrix, by root-free
-implicit-shift QL (a plain Python loop on Python floats) up to order 32
-and by divide and conquer above, whose merges solve all their secular
-equation roots at once in numpy; and ``fixed_point``, the safeguarded
-Newton iteration that solves the limiting equation.
+implicit-shift QL (a plain Python loop on Python floats) up to order 200,
+where it is the faster of the two, and by divide and conquer above, whose
+merges solve all their secular equation roots at once in numpy; and
+``fixed_point``, the safeguarded Newton iteration that solves the limiting
+equation.
 """
 
 from __future__ import annotations
@@ -88,11 +89,14 @@ def tridiagonalize(a: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal eigenvalues: root-free implicit-shift QL up to order _LEAF,
+# Tridiagonal eigenvalues: root-free implicit-shift QL up to order _QL_MAX,
 # divide and conquer above.
 # Input convention: e[i] couples rows i-1 and i (e[0] unused).
 
-# Largest order solved by QL; also the leaf size of the divide and conquer.
+# Largest order solved by QL: the crossover below which the QL loop beats the
+# divide and conquer.
+_QL_MAX = 200
+# Leaf size of the divide and conquer, whose leaves run QL.
 _LEAF = 32
 # Secular roots solved together: bounds the (order x _CHUNK) work arrays.
 _CHUNK = 128
@@ -113,7 +117,7 @@ def tridiagonal_eigenvalues(d, e, cap: int):
 
     The matrix is first scaled by a power of two to unit size, exactly, so
     no square overflows and only entries far below eps times the norm can
-    underflow.  Up to order _LEAF the eigenvalues come from implicit-shift
+    underflow.  Up to order _QL_MAX the eigenvalues come from implicit-shift
     QL in the root-free form of Pal, Walker and Kahan (LAPACK dsterf): it
     runs on the squared off-diagonals, so a rotation needs no square root.
     The shift is the eigenvalue of the leading 2x2 block nearer d[l]; row l
@@ -134,7 +138,7 @@ def tridiagonal_eigenvalues(d, e, cap: int):
     top = max(float(np.max(np.abs(d))), float(np.max(np.abs(b), initial=0.0)))
     scale_exp = math.frexp(top)[1]
     n = d.size
-    if n > _LEAF:
+    if n > _QL_MAX:
         # the signs of the off-diagonals do not change the spectrum
         try:
             eigs = _divide(np.ldexp(d, -scale_exp),

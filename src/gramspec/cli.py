@@ -255,16 +255,14 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
         return cp
     caps = grab(_caps, "bad 'caps'") or ()
 
-    workers = grab(lambda: int(raw.get("workers", 1)), "bad 'workers'") or 1
-    if workers < 1:
+    workers = grab(lambda: int(raw.get("workers", 1)), "bad 'workers'")
+    if workers is not None and workers < 1:
         errors.append("'workers' must be >= 1")
-        workers = 1
 
     budget = grab(lambda: int(raw.get("budget", DEFAULT_BUDGET)),
-                  "bad 'budget'") or DEFAULT_BUDGET
-    if budget < 1:
+                  "bad 'budget'")
+    if budget is not None and budget < 1:
         errors.append("'budget' must be >= 1")
-        budget = DEFAULT_BUDGET
 
     toeplitz_order = None
     if "toeplitz" in raw:

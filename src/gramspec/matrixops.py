@@ -3,7 +3,7 @@ Stieltjes transforms.
 
 The eigensolver is the package's own: Householder tridiagonalization,
 then the eigenvalues of the tridiagonal matrix by root-free implicit-shift
-QL up to order 32 and by divide and conquer above, with a 30n sweep cap
+QL up to order 200 and by divide and conquer above, with a 30n sweep cap
 on the QL.  Nothing here calls a library eigensolver; library routines
 appear only as independent oracles in the test suite.
 """

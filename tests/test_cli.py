@@ -65,6 +65,17 @@ def test_parse_config_collects_all_errors(tmp_path):
     assert "n" in msg and "seeds" in msg
 
 
+@pytest.mark.parametrize("key", ["workers", "budget"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_parse_config_rejects_nonpositive_workers_and_budget(key, value):
+    # 0 must not fall back to the default
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SIM_CFG, **{key: value}), "simulate")
+    assert exc.value.messages == [f"'{key}' must be >= 1"]
+    cfg = cli.parse_config(dict(SIM_CFG, **{key: 3}), "simulate")
+    assert getattr(cfg, key) == 3
+
+
 def test_config_hash_is_canonical():
     a = {"name": "x", "aspect": {"n": 10, "p": 5}}
     b = {"aspect": {"p": 5, "n": 10}, "name": "x"}

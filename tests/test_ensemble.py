@@ -1,6 +1,10 @@
 """Innovation laws, per-row substreams, row generation, binary cache."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +211,109 @@ def test_generate_lower_triangle_rows_are_process_copies():
     np.testing.assert_array_equal(tri, again)
 
 
+@pytest.mark.parametrize("n_rows", [1, 7, 13])
+def test_generation_bytes_do_not_depend_on_the_core_count(monkeypatch,
+                                                         n_rows):
+    # row counts below the core count and ones that do not split evenly;
+    # four-row buffers give the larger blocks several sub-chunks
+    filt = gramspec.LinearFilter(
+        2, np.random.default_rng(n_rows).standard_normal(5))
+    monkeypatch.setattr(ensemble, "_THREAD_SLOTS", 4 * 32)
+
+    def run():
+        rows = [gramspec.generate_linear_rows(filt, LAWS[name](), n_rows, 27,
+                                              seed=3).values.tobytes()
+                for name in sorted(LAWS)]
+        tri = gramspec.generate_stationary_lower_triangle(
+            filt, gramspec.student_t_law(5.0), n_rows, seed=4)
+        return rows, tri.tobytes()
+
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+    try:
+        for cores in (1, 2, 3, 5):
+            monkeypatch.setattr(ensemble, "_core_count", lambda c=cores: c)
+            results.append(run())
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_generation_worker_exception_reaches_the_caller(monkeypatch):
+    class Boom(RuntimeError):
+        pass
+
+    real = ensemble.row_rng
+
+    def row_rng(seed, row, stream=0):
+        if row == 9:  # in the last of three blocks, run by a worker thread
+            raise Boom(f"row {row}")
+        return real(seed, row, stream)
+
+    monkeypatch.setattr(ensemble, "_core_count", lambda: 3)
+    monkeypatch.setattr(ensemble, "row_rng", row_rng)
+    filt = gramspec.LinearFilter(0, np.array([1.0, 0.5]))
+    with pytest.raises(Boom, match="row 9"):
+        gramspec.generate_linear_rows(filt, gramspec.gaussian_law(), 10, 8,
+                                      seed=1)
+
+
+def test_generation_threads_are_capped_at_sixteen(monkeypatch):
+    # on a large host the per-thread buffers together stay within the
+    # 2**22 slots per buffer of a one-thread chunk
+    import concurrent.futures
+
+    sizes = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(ensemble, "_core_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    filt = gramspec.LinearFilter(0, np.array([1.0, 0.5]))
+    dm = gramspec.generate_linear_rows(filt, gramspec.gaussian_law(), 40, 8,
+                                       seed=1)
+    assert sizes == [16]
+    monkeypatch.setattr(ensemble, "_core_count", lambda: 1)
+    again = gramspec.generate_linear_rows(filt, gramspec.gaussian_law(), 40, 8,
+                                          seed=1)
+    np.testing.assert_array_equal(dm.values, again.values)
+
+
+def test_import_loads_no_thread_pool():
+    # generation imports its thread pool on first use; importing the package
+    # and warming its kernels must not pay for concurrent.futures
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gramspec.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, gramspec; gramspec.warm_up(); "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_generation_peak_allocation_is_bounded(monkeypatch):
+    # the long-memory filter of the compare workload: K = 4096, nfft = 8640;
+    # each thread holds three fixed buffers, whatever the row count
+    f = gramspec.density_from_spec({"family": "fractional", "d": 0.3})
+    filt = gramspec.filter_from_density(f, tail_tol=5e-3)
+    assert filt.coeffs.size == 8193
+    monkeypatch.setattr(ensemble, "_core_count", lambda: 2)
+    tracemalloc.start()
+    try:
+        dm = gramspec.generate_linear_rows(filt, gramspec.gaussian_law(),
+                                           800, 400, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dm.values.nbytes + 16 * 10 ** 6
+
+
 def test_memory_budget_enforced():
     filt = gramspec.LinearFilter(0, np.array([1.0]))
     with pytest.raises(MemoryBudgetError):
@@ -247,3 +354,13 @@ def test_datamatrix_rejects_corrupt_files(tmp_path):
     (tmp_path / "magic.bin").write_bytes(b"XX" + blob[2:])
     with pytest.raises(DomainError):
         gramspec.read_datamatrix(tmp_path / "magic.bin")
+    # a header claiming more rows than the file holds is rejected before
+    # any allocation; so is one trailing value
+    for rows in (2 ** 40, 2 ** 62):
+        huge = blob[:8] + rows.to_bytes(8, "little") + blob[16:]
+        (tmp_path / "huge.bin").write_bytes(huge)
+        with pytest.raises(DomainError, match="header claims"):
+            gramspec.read_datamatrix(tmp_path / "huge.bin")
+    (tmp_path / "long.bin").write_bytes(blob + bytes(8))
+    with pytest.raises(DomainError, match="header claims"):
+        gramspec.read_datamatrix(tmp_path / "long.bin")

@@ -95,7 +95,8 @@ def test_tridiagonalize_keeps_the_spectrum(case):
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal eigenvalues above the QL order: divide and conquer
+# tridiagonal eigenvalues above the QL order: divide and conquer, forced
+# at every order by lowering _QL_MAX to the leaf size
 
 
 def _tridiagonal(d, off) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +134,8 @@ _DIVIDE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_DIVIDE_CASES))
-def test_divide_and_conquer_matches_eigvalsh(case):
+def test_divide_and_conquer_matches_eigvalsh(case, monkeypatch):
+    monkeypatch.setattr(_kernels, "_QL_MAX", _kernels._LEAF)
     d, e = _DIVIDE_CASES[case]()
     t = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
     expect = np.linalg.eigvalsh(t)
@@ -193,11 +195,15 @@ def test_divide_and_conquer_peak_allocation(gram_1000_tridiagonal):
 
 
 def test_divide_and_conquer_keeps_ql_below_the_leaf_order(monkeypatch):
-    # orders up to _LEAF never reach the divide and conquer
-    def fail(*args):
+    # orders up to the crossover _QL_MAX never reach the divide and
+    # conquer; the next order does
+    def fail(*args, **kwargs):
         raise AssertionError("divide and conquer ran")
 
     monkeypatch.setattr(_kernels, "_divide", fail)
-    d, e = _split_at_top(_kernels._LEAF)
+    d, e = _split_at_top(_kernels._QL_MAX)
     eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
-    assert status == 0 and eigs.size == _kernels._LEAF
+    assert status == 0 and eigs.size == _kernels._QL_MAX
+    d, e = _split_at_top(_kernels._QL_MAX + 1)
+    with pytest.raises(AssertionError, match="divide and conquer ran"):
+        _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)

@@ -107,16 +107,23 @@ _STRUCTURED = {
 # random symmetric matrices by order, then structured cases by name
 @pytest.mark.parametrize("case", [1, 2, 3, 5, 16, 33, 64, 65, 100, 128, 257,
                                   300, *_STRUCTURED])
-def test_eigenvalues_match_lapack(case):
+def test_eigenvalues_match_lapack(case, monkeypatch):
     if isinstance(case, int):
         a = _random_symmetric(case, case)
     else:
         a = _STRUCTURED[case]()
-    got = gramspec.symmetric_eigenvalues(gramspec.SymMatrix(a)).eigs
     expect = np.linalg.eigvalsh(a)
-    # relative to the spectral radius; exact for the zero matrix
-    np.testing.assert_allclose(got, expect, rtol=0.0,
-                               atol=1e-13 * float(np.max(np.abs(expect))))
+    # above the leaf order, both the default route and the divide and
+    # conquer forced by lowering the QL crossover
+    crossovers = [_kernels._QL_MAX]
+    if a.shape[0] > _kernels._LEAF:
+        crossovers.append(_kernels._LEAF)
+    for ql_max in crossovers:
+        monkeypatch.setattr(_kernels, "_QL_MAX", ql_max)
+        got = gramspec.symmetric_eigenvalues(gramspec.SymMatrix(a)).eigs
+        # relative to the spectral radius; exact for the zero matrix
+        np.testing.assert_allclose(got, expect, rtol=0.0,
+                                   atol=1e-13 * float(np.max(np.abs(expect))))
 
 
 def test_sweep_cap_raises_eigen_non_convergence(monkeypatch):
@@ -132,8 +139,10 @@ def test_sweep_cap_raises_eigen_non_convergence(monkeypatch):
 
 
 def test_divide_and_conquer_caps_raise_eigen_non_convergence(monkeypatch):
-    # order 80 goes to the divide and conquer: a leaf's QL sweeps share
-    # the 30n cap, and each secular root has _SECULAR_MAXIT steps
+    # order 80, sent to the divide and conquer by lowering the QL
+    # crossover: a leaf's QL sweeps share the 30n cap, and each secular
+    # root has _SECULAR_MAXIT steps
+    monkeypatch.setattr(_kernels, "_QL_MAX", _kernels._LEAF)
     a = _random_symmetric(15, 80)
     solve = _kernels.tridiagonal_eigenvalues
     with monkeypatch.context() as m:
