@@ -8,8 +8,8 @@ Monte-Carlo simulation with its own symmetric eigensolver.
 """
 
 from .errors import (ConfigError, DomainError, EigenNonConvergence,
-                     ExtrapolationWarning, GramspecError, HerglotzLoss,
-                     MemoryBudgetError, NonConvergence, QuadratureError,
+                     GramspecError, HerglotzLoss, MemoryBudgetError,
+                     NonConvergence, QuadratureError,
                      TailToleranceUnreachable, UniquenessError)
 from .spectral import (LinearFilter, SpectralDensity, ar1_density,
                        constant_density, covariance_from_density,
@@ -42,9 +42,8 @@ from ._kernels import backend_name, warm_up
 __version__ = "1.0.0"
 
 __all__ = [
-    "ConfigError", "DomainError", "EigenNonConvergence",
-    "ExtrapolationWarning", "GramspecError", "HerglotzLoss",
-    "MemoryBudgetError", "NonConvergence", "QuadratureError",
+    "ConfigError", "DomainError", "EigenNonConvergence", "GramspecError",
+    "HerglotzLoss", "MemoryBudgetError", "NonConvergence", "QuadratureError",
     "TailToleranceUnreachable", "UniquenessError",
     "LinearFilter", "SpectralDensity", "ar1_density", "constant_density",
     "covariance_from_density", "covariance_sequence", "density_from_spec",

@@ -27,7 +27,6 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,7 +51,7 @@ _COMMANDS = ("solve", "simulate", "compare", "toeplitz", "universality",
 
 _ALLOWED_KEYS = {
     "name", "density", "aspect", "seeds", "law", "laws", "tail_tol",
-    "ensemble", "solver", "grid", "eps_ladder", "z_line", "thresholds",
+    "ensemble", "solver", "grid", "z_line", "thresholds",
     "caps", "workers", "budget", "toeplitz", "save_matrices",
     "load_matrices",
 }
@@ -76,7 +75,6 @@ class ExperimentConfig:
     solver: SolverSettings
     grid_points: int
     x_grid: np.ndarray | None
-    eps_ladder: tuple[float, ...]
     z_line: dict | None
     thresholds: dict
     caps: tuple[float, ...]
@@ -209,15 +207,6 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
         if got:
             grid_points, x_grid = got
 
-    def _ladder():
-        lad = tuple(float(e) for e in raw.get("eps_ladder",
-                                              (0.05, 0.02, 0.01, 0.005)))
-        if len(lad) < 2 or any(e <= 0 for e in lad) or \
-                any(lad[i + 1] >= lad[i] for i in range(len(lad) - 1)):
-            raise ValueError("eps_ladder must be positive and decreasing")
-        return lad
-    eps_ladder = grab(_ladder, "bad 'eps_ladder'") or (0.05, 0.02, 0.01, 0.005)
-
     z_line = None
     if "z_line" in raw:
         def _zline():
@@ -292,7 +281,7 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
         raw=raw, name=name, density=density, n_rows=n_rows, n_cols=n_cols,
         seeds=seeds, law=law, laws=laws, law_names=law_names,
         tail_tol=tail_tol, ensemble_kind=ensemble_kind, solver=solver,
-        grid_points=grid_points, x_grid=x_grid, eps_ladder=eps_ladder,
+        grid_points=grid_points, x_grid=x_grid,
         z_line=z_line, thresholds=thresholds, caps=caps, workers=workers,
         budget=budget, toeplitz_order=toeplitz_order,
         save_matrices=save_matrices, load_matrices=load_matrices)
@@ -333,8 +322,7 @@ def _write_csv(path, header, rows) -> None:
 def _limit_summary(limit: LimitDistribution) -> dict:
     return {"atom0": limit.atom0, "edges": list(limit.edges),
             "total_mass": limit.total_mass,
-            "inversion_max_residual": limit.residual_max,
-            "unstable_points": limit.unstable_points}
+            "inversion_max_residual": limit.residual_max}
 
 
 def _limit_csv(stage: str, limit: LimitDistribution) -> None:
@@ -347,6 +335,7 @@ def _limit_csv(stage: str, limit: LimitDistribution) -> None:
 def _pmap(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -417,8 +406,7 @@ def _cmd_solve(cfg: ExperimentConfig, stage: str):
         result["line_points"] = len(rows)
         result["line_max_residual"] = worst
     if "grid" in cfg.raw:
-        limit = invert_to_distribution(
-            f, c, _grid_for(cfg, f, c), cfg.solver, eps_ladder=cfg.eps_ladder)
+        limit = invert_to_distribution(f, c, _grid_for(cfg, f, c), cfg.solver)
         _limit_csv(stage, limit)
         _svg.write_overlay(
             os.path.join(stage, "density.svg"),
@@ -471,8 +459,7 @@ def _cmd_compare(cfg: ExperimentConfig, stage: str):
     _require(cfg, "compare", "density", "aspect", "seeds")
     c = float(cfg.aspect_ratio)
     limit = invert_to_distribution(
-        cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver,
-        eps_ladder=cfg.eps_ladder)
+        cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
     _limit_csv(stage, limit)
     limit_cdf = StepCdf.from_limit(limit)
     esds, pooled = _simulate_esds(cfg, stage, cfg.save_matrices)
@@ -540,8 +527,7 @@ def _cmd_universality(cfg: ExperimentConfig, stage: str):
     _require(cfg, "universality", "density", "aspect", "seeds", "laws")
     c = float(cfg.aspect_ratio)
     limit = invert_to_distribution(
-        cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver,
-        eps_ladder=cfg.eps_ladder)
+        cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
     _limit_csv(stage, limit)
     limit_cdf = StepCdf.from_limit(limit)
     filt = filter_from_density(cfg.density, tail_tol=cfg.tail_tol)

@@ -55,7 +55,3 @@ class ConfigError(GramspecError, ValueError):
     def __init__(self, messages: list[str]):
         super().__init__("; ".join(messages))
         self.messages = list(messages)
-
-
-class ExtrapolationWarning(UserWarning):
-    """Successive vertical-line estimates disagreed by more than 10 percent."""

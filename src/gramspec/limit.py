@@ -6,9 +6,14 @@ of the limiting Gram spectrum,
     z = -1/s + (c/pi) * integral over (0, pi) of dlam / (s + 1/(2 pi f(lam))),
 
 by a safeguarded Newton iteration at each z (see _kernels.fixed_point),
-recovers the eigenvalue density on a grid of real points through a
-vertical-line limit with linear extrapolation in the line height, and runs
-truncation ladders for unbounded densities.
+inverts it to the limiting density and CDF on a grid of real points, and
+runs truncation ladders for unbounded densities.
+
+The inversion works on the real axis: the support edges are critical
+values of the explicit inverse x(s) (Silverstein & Choi 1995), each grid
+point inside the support takes one solve just above the axis, warm-started
+from its neighbour (as in Dobriban's SPECTRODE), and the CDF is read
+pointwise off an exact antiderivative; see invert_to_distribution.
 
 Every accepted solve carries a residual certificate: the frequency grid is
 re-selected at a tenth of the quadrature tolerance and the residual of the
@@ -18,8 +23,8 @@ otherwise the solve escalates to the finer grid and tries again.
 
 from __future__ import annotations
 
+import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -27,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, quadrature
-from .errors import (DomainError, ExtrapolationWarning, HerglotzLoss,
-                     NonConvergence, QuadratureError, UniquenessError)
+from .errors import (DomainError, HerglotzLoss, NonConvergence,
+                     QuadratureError, UniquenessError)
 from .spectral import (SpectralDensity, TWO_PI, _refine_points,
                        _singular_in_half, density_values, probe_values)
 
@@ -37,7 +42,6 @@ from .spectral import (SpectralDensity, TWO_PI, _refine_points,
 _G_CAP = 1e14
 
 _DUAL_START_TOL = 1e-9
-_EDGE_THRESHOLD = 1e-4  # density level defining the reported support edges
 _MAX_LEVEL = 9
 
 
@@ -225,16 +229,20 @@ def solve_limit_density(f: SpectralDensity, c: float, z: complex,
     """
     z = _check_point(z, c)
     settings = settings or SolverSettings()
-    level = _certified_level(f, c, min(settings.quad_tol, 0.25 * settings.tol))
-
-    def nodes(k):
-        g, w = _nodes(f, level + k)
-        return g, w * (c / math.pi)
-
+    level = _level(f, c, settings)
     return _solve_under(
-        nodes, c, z, settings, initial, 4,
+        lambda k: _folded_nodes(f, c, level + k), c, z, settings, initial, 4,
         f"residual certificate kept failing at z={z!r} through grid "
         f"level {level + 4}")
+
+
+def _level(f: SpectralDensity, c: float, settings: SolverSettings) -> int:
+    return _certified_level(f, c, min(settings.quad_tol, 0.25 * settings.tol))
+
+
+def _folded_nodes(f: SpectralDensity, c: float, level: int):
+    g, w = _nodes(f, level)
+    return g, w * (c / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +303,23 @@ def solve_limit_H(h, c: float, z: complex,
 
 
 # ---------------------------------------------------------------------------
-# Vertical-line inversion to a density on the real line.
+# Inversion on the real axis: exact support, density and CDF.
+
+# Evaluation points sit at x + i*_ETA*x.  On the real axis itself the
+# iterate falls onto the kernel's 1e-14 Herglotz floor far in the tail of an
+# unbounded density; at this height the density and CDF move by O(_ETA).
+_ETA = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class LimitDistribution:
     """Limiting spectral distribution on a real grid.
 
     `density` holds the absolutely continuous part on x_grid; `atom0` the
-    point mass at zero (present when c > 1); `cdf` is atom0 plus the
-    cumulative trapezoid of the density.  `edges` are the detected support
-    boundary points (density crossing 1e-4); `unstable_points` counts grid
-    points whose final two vertical-line estimates disagreed by over 10%.
+    point mass at zero (present when c > 1); `cdf` is the full CDF, atom
+    included, evaluated pointwise from the antiderivative of the companion
+    transform.  `edges` are the support edges: the lower edge a (0 at a
+    hard edge) and, when the support is bounded, the upper edge b.
     """
 
     x_grid: np.ndarray
@@ -315,7 +329,6 @@ class LimitDistribution:
     c: float
     edges: tuple[float, ...] = ()
     residual_max: float = 0.0
-    unstable_points: int = 0
 
     def __post_init__(self):
         x = np.asarray(self.x_grid, dtype=float)
@@ -331,7 +344,7 @@ class LimitDistribution:
             raise DomainError("cdf must be nondecreasing")
         if not 0.0 <= self.atom0 <= 1.0:
             raise DomainError("atom0 must lie in [0, 1]")
-        if cdf[-1] > 1.02:
+        if cdf[-1] > 1.0 + 1e-6:
             raise DomainError("cdf exceeds 1 beyond numerical slack")
         if not self.c > 0:
             raise DomainError("aspect ratio must be positive")
@@ -345,122 +358,111 @@ class LimitDistribution:
     def total_mass(self) -> float:
         return float(self.cdf[-1])
 
-
-def _extrapolate_line(eps: np.ndarray, vals: np.ndarray) -> tuple[float, bool]:
-    """Linear-in-eps extrapolation to 0 from the last value pairs; flags
-    instability when the final two extrapolants disagree by > 10%."""
-    r_prev = None
-    r = vals[-1]
-    for k in range(1, eps.size):
-        e0, e1 = eps[k - 1], eps[k]
-        r_prev_k = (vals[k] * e0 - vals[k - 1] * e1) / (e0 - e1)
-        r_prev, r = r, r_prev_k
-    unstable = False
-    if r_prev is not None:
-        big = max(abs(r), abs(r_prev))
-        # only meaningful above the support-edge threshold: tinier values
-        # are leak from outside the support and jump freely
-        if big > _EDGE_THRESHOLD and abs(r - r_prev) > 0.1 * big:
-            unstable = True
-    return float(r), unstable
+    @property
+    def unstable_points(self) -> int:
+        # Always 0: the real-axis inversion extrapolates nothing that could
+        # disagree.  Kept only because perfbench/child.py's traced mode
+        # reads it.
+        return 0
 
 
-def _density_column(f, c, x, eps_ladder, settings, s_top_init, atom0):
-    """All-rung solve at one real abscissa; returns (density estimate,
-    top-rung s_under, worst residual, unstable flag).
+def _slope(s: float, g: np.ndarray, w: np.ndarray) -> float:
+    """x'(s) of the inverse x(s) = -1/s + sum w/(s + g)."""
+    return 1.0 / (s * s) - float(np.sum(w / (s + g) ** 2))
 
-    The rung heights shrink proportionally to x once x drops below twice
-    the top rung: fixed heights cannot resolve a hard-edge density at
-    x << eps.  The known zero atom is subtracted from the transform before
-    taking the imaginary part, so only the continuous part is estimated.
+
+def _critical_point(g, w, up: float, down: float) -> float:
+    """Root of x' between `up`, where x' > 0, and `down`, where x' < 0, by
+    bisection to the last bit."""
+    while True:
+        mid = 0.5 * (up + down)
+        if mid in (up, down):
+            return mid
+        if _slope(mid, g, w) > 0.0:
+            up = mid
+        else:
+            down = mid
+
+
+def _inverse(s: float, g, w) -> float:
+    return -1.0 / s + float(np.sum(w / (s + g)))
+
+
+def _support(f: SpectralDensity, c: float, g, w) -> tuple[float, float]:
+    """Support edges (a, b), the critical values of x(s).
+
+    By Silverstein & Choi (1995), the complement of the support is where
+    x' > 0 on the real s axis off {0} and [-g_max, -g_min].  x is convex
+    on (-g_min, 0) with poles at both ends, so b is its minimum there, or
+    infinite when f has a singular point (g_min = 0).  a is the maximum of
+    x on (-inf, -g_max) for c < 1, where x rises from 0 at -inf, and on
+    (0, inf) for c > 1, where x falls back to 0 at +inf; a = 0 when there
+    is none (c = 1: the hard edge).
     """
-    scale = min(1.0, x / (2.0 * eps_ladder[0]))
-    eff = np.asarray([e * scale for e in eps_ladder])
-    rhos = np.empty(eff.size)
-    resid_max = 0.0
-    s_warm = None
-    s_top = None
-    for k in range(eff.size):
-        z = complex(x, eff[k])
-        init = s_top_init if (k == 0 and s_top_init is not None) else s_warm
-        pt = solve_limit_density(f, c, z, settings, initial=init)
-        rhos[k] = (pt.s + atom0 / z).imag / math.pi
-        resid_max = max(resid_max, pt.residual)
-        s_warm = pt.s_under
-        if k == 0:
-            s_top = pt.s_under
-    rho, unstable = _extrapolate_line(eff, rhos)
-    return max(rho, 0.0), s_top, resid_max, unstable
+    a, b = 0.0, math.inf
+    if c != 1.0:
+        g_max = float(np.max(g[g < 0.5 * _G_CAP]))
+        # double outward until x' takes the sign it has at infinity:
+        # rising for c < 1 (s -> -inf), falling for c > 1 (s -> +inf)
+        far = -g_max if c < 1.0 else g_max
+        for _ in range(60):
+            far *= 2.0
+            if (_slope(far, g, w) > 0.0) == (c < 1.0):
+                up, down = (far, -g_max) if c < 1.0 else (0.0, far)
+                a = max(0.0, _inverse(_critical_point(g, w, up, down), g, w))
+                break
+    if not _singular_in_half(f):
+        b = _inverse(_critical_point(g, w, 0.0, -float(np.min(g))), g, w)
+    return a, b
+
+
+def _antiderivative(s: complex, z: complex, g, w) -> complex:
+    """Phi = s z + log s - sum w log(s + g).  dPhi/ds is the residual
+    z + 1/s - sum w/(s + g), which vanishes on the solution branch, so
+    there dPhi/dz = s and Im Phi/pi is the companion CDF."""
+    return s * z + cmath.log(s) - complex(w @ np.log(s + g))
 
 
 def invert_to_distribution(f: SpectralDensity, c: float, x_grid,
-                           settings: SolverSettings | None = None, *,
-                           eps_ladder=(0.05, 0.02, 0.01, 0.005),
-                           refine_edges: bool = True) -> LimitDistribution:
+                           settings: SolverSettings | None = None
+                           ) -> LimitDistribution:
     """Recover the limiting distribution on a positive grid of real points.
 
-    Marches right to left, so the hardest abscissae (smallest x, where the
-    rung heights shrink with x) inherit warm starts; the first column runs
-    the cold two-start uniqueness probe.  Each abscissa descends its
-    vertical line of rungs with warm starts, then extrapolates linearly to
-    the real axis.  Support edges (density crossing 1e-4) get a one-shot
-    4x local grid refinement.  The zero atom max(0, 1 - 1/c) is analytic
-    and excluded from the density estimates.
+    The support [a, b] comes first: the critical values of the explicit
+    inverse x(s) on the certified frequency nodes (see _support).  Grid points
+    outside it get density 0 and CDF atom0 (below a) or 1 (above b), with
+    no solve.  Points inside are solved at z = x + i 1e-8 x from right to
+    left, each warm-started from its right neighbour; the first runs the
+    cold two-start uniqueness probe.  The density is Im s/pi with the known
+    zero atom max(0, 1 - 1/c) removed from s; the companion CDF is
+    Im Phi/pi for the antiderivative Phi of the companion transform, on
+    the same nodes as the solve, and is mapped to the CDF by
+    F = (F_under - (1 - c))/c.  The returned x_grid is the grid passed.
     """
     x = np.asarray(x_grid, dtype=float)
     if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0) or x[0] <= 0:
         raise DomainError("x_grid must be positive and strictly increasing")
-    eps_arr = tuple(float(e) for e in eps_ladder)
-    if len(eps_arr) < 2 or any(e <= 0 for e in eps_arr) or \
-            any(b <= a for a, b in zip(eps_arr[1:], eps_arr[:-1])):
-        raise DomainError("eps_ladder must be positive and decreasing")
+    if not c > 0:
+        raise DomainError("aspect ratio c must be positive")
     settings = settings or SolverSettings()
     atom0 = max(0.0, 1.0 - 1.0 / c)
+    g, w = _folded_nodes(f, c, _level(f, c, settings))
+    a, b = _support(f, c, g, w)
 
-    rho = np.empty(x.size)
+    rho = np.zeros(x.size)
+    cdf = np.where(x <= a, atom0, 1.0)
     resid_max = 0.0
-    unstable = 0
-    s_prev_top = None
-    for j in range(x.size - 1, -1, -1):
-        rho[j], s_prev_top, r, u = _density_column(
-            f, c, float(x[j]), eps_arr, settings, s_prev_top, atom0)
-        resid_max = max(resid_max, r)
-        unstable += int(u)
-
-    if refine_edges:
-        shifted = rho - _EDGE_THRESHOLD
-        cross = np.nonzero(shifted[:-1] * shifted[1:] < 0)[0]
-        extra_x = []
-        for i in cross:
-            extra_x.extend(np.linspace(x[i], x[i + 1], 5)[1:-1])
-        if extra_x:
-            extra_x = np.asarray(sorted(set(extra_x) - set(x.tolist())))
-            extra_rho = np.empty(extra_x.size)
-            for j, xv in enumerate(extra_x):
-                extra_rho[j], _, r, u = _density_column(
-                    f, c, float(xv), eps_arr, settings, None, atom0)
-                resid_max = max(resid_max, r)
-                unstable += int(u)
-            x = np.concatenate([x, extra_x])
-            rho = np.concatenate([rho, extra_rho])
-            order = np.argsort(x)
-            x, rho = x[order], rho[order]
-
-    edges = []
-    shifted = rho - _EDGE_THRESHOLD
-    for i in np.nonzero(shifted[:-1] * shifted[1:] < 0)[0]:
-        x0, x1 = x[i], x[i + 1]
-        y0, y1 = shifted[i], shifted[i + 1]
-        edges.append(float(x0 - y0 * (x1 - x0) / (y1 - y0)))
-
-    cdf = atom0 + np.concatenate(
-        [[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(x))])
-    if unstable:
-        warnings.warn(ExtrapolationWarning(
-            f"vertical-line extrapolation unstable at {unstable} of "
-            f"{x.size} grid points"))
-    return LimitDistribution(x, rho, np.minimum(cdf, cdf[-1]), atom0, c,
-                             tuple(edges), resid_max, unstable)
+    s_prev = None
+    for j in np.nonzero((x > a) & (x < b))[0][::-1]:
+        z = complex(x[j], _ETA * x[j])
+        pt = solve_limit_density(f, c, z, settings, initial=s_prev)
+        s_prev = pt.s_under
+        resid_max = max(resid_max, pt.residual)
+        rho[j] = max((pt.s + atom0 / z).imag / math.pi, 0.0)
+        under = _antiderivative(pt.s_under, z, g, w).imag / math.pi
+        cdf[j] = (under - (1.0 - c)) / c
+    edges = (a,) if math.isinf(b) else (a, b)
+    return LimitDistribution(x, rho, cdf, atom0, c, edges, resid_max)
 
 
 def default_x_grid(f: SpectralDensity, c: float,

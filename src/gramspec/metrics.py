@@ -140,8 +140,9 @@ class StepCdf:
 
     @staticmethod
     def from_limit(limit) -> "StepCdf":
-        # quadrature-level mass overshoot (~1e-3) is clipped so the result
-        # is a genuine sub-probability CDF
+        # the pointwise CDF is exact to the solver tolerance; the clip only
+        # removes rounding past 1 (within LimitDistribution's 1e-6 slack),
+        # so the result is a genuine sub-probability CDF
         vals = np.clip(limit.cdf, 0.0, 1.0)
         return StepCdf.from_grid(limit.x_grid, vals,
                                  atom0=min(limit.atom0, 1.0))

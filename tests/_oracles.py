@@ -48,15 +48,25 @@ def mp_density(x, c: float, sigma2: float = 1.0) -> np.ndarray:
 def mp_cdf(x_grid, c: float, sigma2: float = 1.0,
            resolution: int = 2_000_001) -> np.ndarray:
     """CDF of the Marchenko-Pastur law by dense quadrature of the closed
-    form density plus the analytic atom at zero."""
+    form density plus the analytic atom at zero.
+
+    The quadrature runs in theta, x = lo + (hi - lo) sin^2(theta), where the
+    density times dx/dtheta is (hi - lo)^2 sin^2 cos^2 / (pi c sigma2 x):
+    smooth at both edges, the x^(-1/2) hard edge at c = 1 included."""
     lo, hi = mp_edges(c, sigma2)
-    xs = np.linspace(lo, hi, resolution)
-    dens = mp_density(xs, c, sigma2)
+    theta = np.linspace(0.0, 0.5 * math.pi, resolution)
+    sin2 = np.sin(theta) ** 2
+    xs = lo + (hi - lo) * sin2
+    # sin^2/x, whose limit at x = 0 (the hard edge, lo = 0) is 1/(hi - lo)
+    ratio = np.divide(sin2, xs, out=np.full_like(xs, 1.0 / (hi - lo)),
+                      where=xs > 0)
+    dens = (hi - lo) ** 2 * (1.0 - sin2) * ratio / (math.pi * c * sigma2)
     cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
+        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(theta))])
     atom = max(0.0, 1.0 - 1.0 / c)
     grid = np.asarray(x_grid, dtype=float)
-    vals = atom + np.interp(grid, xs, cum, left=0.0, right=cum[-1])
+    t = np.arcsin(np.sqrt(np.clip((grid - lo) / (hi - lo), 0.0, 1.0)))
+    vals = atom + np.interp(t, theta, cum)
     vals[grid < 0] = 0.0
     return vals
 

@@ -76,6 +76,12 @@ def test_parse_config_rejects_nonpositive_workers_and_budget(key, value):
     assert getattr(cfg, key) == 3
 
 
+def test_parse_config_rejects_the_removed_eps_ladder():
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SOLVE_CFG, eps_ladder=[0.05, 0.02]), "solve")
+    assert exc.value.messages == ["unknown config key 'eps_ladder'"]
+
+
 def test_config_hash_is_canonical():
     a = {"name": "x", "aspect": {"n": 10, "p": 5}}
     b = {"aspect": {"p": 5, "n": 10}, "name": "x"}
@@ -187,8 +193,6 @@ def _assert_inversion_reported(result, c):
     assert result["atom0"] == 0.0
     assert abs(result["total_mass"] - 1.0) < 5e-3
     assert 0.0 < result["inversion_max_residual"] <= 1e-9
-    assert isinstance(result["unstable_points"], int)
-    assert result["unstable_points"] >= 0
     assert any(abs(e - lo) < 0.1 for e in result["edges"])
     assert any(abs(e - hi) < 0.1 for e in result["edges"])
 

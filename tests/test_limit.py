@@ -1,14 +1,13 @@
 """Limit solver, companion transform, density inversion."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import gramspec
 from gramspec import _kernels, limit
-from gramspec.errors import DomainError, ExtrapolationWarning
+from gramspec.errors import DomainError
 
 from _oracles import mp_cdf, mp_density, mp_edges, mp_transform
 
@@ -28,6 +27,13 @@ def test_companion_round_trip():
         c = float(rng.uniform(0.1, 3.0))
         assert abs(gramspec.companion_inverse(
             gramspec.companion(s, c, z), c, z) - s) < 1e-13
+
+
+def test_mp_cdf_oracle_resolves_the_hard_edge():
+    # at c = 1 the density blows up like x^(-1/2) at 0; the closed form is
+    # F(1) = 1/3 + sqrt(3)/(2 pi)
+    exact = 1.0 / 3.0 + math.sqrt(3.0) / (2.0 * math.pi)
+    assert abs(mp_cdf([1.0], 1.0)[0] - exact) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +158,9 @@ def test_inversion_recovers_mp_law():
     f = gramspec.constant_density(1.0)
     c = 0.5
     grid = gramspec.default_x_grid(f, c, n_points=240)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        lim = gramspec.invert_to_distribution(f, c, grid, FAST)
+    lim = gramspec.invert_to_distribution(f, c, grid, FAST)
     assert lim.atom0 == 0.0
     assert abs(lim.total_mass - 1.0) < 2e-3
-    # edge refinement may extend the requested grid; compare on the grid
-    # the inversion actually used
     xs = lim.x_grid
     lo, hi = mp_edges(c)
     inner = (xs > lo + 0.05) & (xs < hi - 0.05)
@@ -176,13 +178,41 @@ def test_inversion_atom_at_zero_for_tall_aspect():
     f = gramspec.constant_density(1.0)
     c = 2.0
     grid = gramspec.default_x_grid(f, c, n_points=200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        lim = gramspec.invert_to_distribution(f, c, grid, FAST)
+    lim = gramspec.invert_to_distribution(f, c, grid, FAST)
     assert lim.atom0 == 0.5  # exactly 1 - 1/c
     assert abs(lim.total_mass - 1.0) < 2e-3
     sup = float(np.max(np.abs(lim.cdf - mp_cdf(lim.x_grid, c))))
     assert sup < 5e-3
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_inversion_is_exact_for_constant_density(c):
+    # the edges are critical values of the explicit inverse x(s), and the
+    # CDF comes pointwise from the antiderivative of the transform, so
+    # nothing is lost to a quadrature over the x grid, hard edge included
+    f = gramspec.constant_density(1.0)
+    grid = gramspec.default_x_grid(f, c, 64)
+    lim = gramspec.invert_to_distribution(f, c, grid, FAST)
+    np.testing.assert_array_equal(lim.x_grid, grid)
+    assert float(np.max(np.abs(lim.cdf - mp_cdf(grid, c)))) <= 1e-6
+    assert abs(lim.total_mass - 1.0) <= 1e-6
+    lo, hi = mp_edges(c)
+    assert len(lim.edges) == 2
+    assert abs(lim.edges[0] - lo) <= 1e-8 and abs(lim.edges[1] - hi) <= 1e-8
+    if c == 1.0:
+        assert lim.edges[0] == 0.0
+    outside = (grid <= lo) | (grid >= hi)
+    assert np.all(lim.density[outside] == 0.0)
+
+
+def test_long_memory_limit_has_one_edge():
+    # the compare_longmem limit: the density is unbounded, so the support
+    # has no upper edge, and the lower edge is a critical value of x(s)
+    f = gramspec.fractional_density(0.3)
+    lim = gramspec.invert_to_distribution(
+        f, 0.5, gramspec.default_x_grid(f, 0.5, 400), FAST)
+    assert len(lim.edges) == 1
+    assert abs(lim.edges[0] - 0.0742) < 1e-3
 
 
 def test_default_x_grid_covers_support():
@@ -211,10 +241,8 @@ def test_limit_distribution_validation():
 
 def test_truncation_ladder_small_smoke():
     f = gramspec.fractional_density(0.3, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        ladder = gramspec.truncation_ladder(f, 0.5, caps=(4.0, 8.0),
-                                            settings=FAST, n_points=200)
+    ladder = gramspec.truncation_ladder(f, 0.5, caps=(4.0, 8.0),
+                                        settings=FAST, n_points=200)
     assert ladder.caps == (4.0, 8.0)
     assert len(ladder.limits) == 2 and len(ladder.gaps) == 1
     assert 0.0 <= ladder.gaps[0] < 0.05
