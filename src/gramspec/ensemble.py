@@ -270,7 +270,7 @@ def generate_toeplitz_gaussian_rows(f: SpectralDensity, n_rows: int,
                                     budget: int = DEFAULT_BUDGET) -> DataMatrix:
     """Exact stationary Gaussian rows: N(0, Gamma_p) via the PSD square root.
 
-    The square root uses the library symmetric eigendecomposition; this is
+    The square root uses ``np.linalg.eigh`` (LAPACK); this is
     deliberate plumbing, not a replacement for the package eigensolver,
     which never touches this path.
     """

@@ -1,12 +1,14 @@
-"""Composite Gauss-Legendre quadrature with dyadic refinement toward
-integrable singularities.
+"""Gauss-Legendre quadrature on [0, pi]: cosine transforms summed by FFT
+over aligned cells, and composite panels for the limit solver.
 
-Panels are laid out uniformly away from singular points; toward each
-singular point the panel widths shrink dyadically, so an integrable
-power singularity is resolved geometrically.  Refinement doubles the
-uniform panel count, extends the dyadic ladders, and halves the width
-cap applied to every panel (ladder rungs included) until two successive
-levels agree to the requested relative tolerance.
+``cosine_coefficients`` lays [0, pi] out as M equal cells of width
+h = pi/M with 16 Gauss-Legendre nodes at the same offsets c_j in each.
+The weighted sum is Re sum_j e^{ik c_j} sum_p g_{p,j} e^{ikph}, whose inner
+sum has period 2M in k, so one real FFT of length 2M per offset serves
+every frequency.  The few cells touching a mark (a singularity or a kink)
+are cut by dyadic ladders toward it and summed node by node.  M doubles
+until two successive levels agree to the requested relative tolerance.
+``build_edges`` and ``gauss_nodes`` lay out the limit solver's panels.
 """
 
 from __future__ import annotations
@@ -20,34 +22,16 @@ from .errors import QuadratureError
 
 EVAL_CAP = 2**20  # hard cap on integrand evaluations per call
 
-_BASE0 = 8       # uniform panels per segment at level 0
+_BASE0 = 8       # uniform panels per segment (cells on [0, pi]) at level 0
 _DEPTH0 = 60     # dyadic ladder rungs per singular side at level 0
-_ORDER = 12      # Gauss-Legendre points per panel (integrate)
-_ORDER_OSC = 16  # points per panel for oscillatory cosine transforms
+_ORDER = 12      # Gauss-Legendre points per panel (gauss_nodes default)
+_ORDER_OSC = 16  # points per cell for oscillatory cosine transforms
 
 
 @lru_cache(maxsize=None)
 def _gl(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
-
-
-def _split_wide(edges: np.ndarray, cap: float) -> np.ndarray:
-    # Subdivide any panel wider than `cap` into equal parts.  The slack factor
-    # keeps panels created as exact divisions of the interval from being split
-    # again over a one-ulp excess.
-    widths = np.diff(edges)
-    counts = np.ceil(widths / cap * (1.0 - 1e-12)).astype(int)
-    counts = np.maximum(counts, 1)
-    if int(counts.max(initial=1)) <= 1:
-        return edges
-    pieces = [edges[:1]]
-    for lo, hi, m in zip(edges[:-1], edges[1:], counts):
-        if m == 1:
-            pieces.append(np.asarray([hi]))
-        else:
-            pieces.append(np.linspace(lo, hi, m + 1)[1:])
-    return np.concatenate(pieces)
 
 
 def _ladder(anchor: float, far: float, depth: int) -> np.ndarray:
@@ -64,14 +48,12 @@ def _ladder(anchor: float, far: float, depth: int) -> np.ndarray:
 
 
 def build_edges(a: float, b: float, singular=(), base: int = _BASE0,
-                depth: int = _DEPTH0, width_cap: float | None = None) -> np.ndarray:
+                depth: int = _DEPTH0) -> np.ndarray:
     """Panel edges on [a, b] with dyadic ladders toward each singular point.
 
-    ``width_cap`` bounds the width of every panel, ladder rungs included.
-    Without it the outer rungs of a ladder stay as wide as half the segment
-    no matter how the uniform region is refined, which matters whenever the
-    integrand has structure on a finer scale (oscillation, kinks) inside the
-    ladder's span.
+    Each segment between singular points gets `base` uniform panels; a
+    ladder of `depth` rungs runs from the segment's midpoint to each
+    singular end.
     """
     if not b > a:
         raise ValueError("empty integration interval")
@@ -101,10 +83,7 @@ def build_edges(a: float, b: float, singular=(), base: int = _BASE0,
         if hi_sing:
             seg.append(_ladder(hi, mid_hi, depth)[::-1][1:])
         pieces.append(np.concatenate(seg))
-    edges = np.concatenate([p if i == 0 else p[1:] for i, p in enumerate(pieces)])
-    if width_cap is not None and width_cap > 0.0:
-        edges = _split_wide(edges, float(width_cap))
-    return edges
+    return np.concatenate([p if i == 0 else p[1:] for i, p in enumerate(pieces)])
 
 
 def gauss_nodes(edges: np.ndarray, order: int = _ORDER):
@@ -123,39 +102,6 @@ def _eval(fn, nodes: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("non-finite integrand value at a quadrature node")
     return vals
-
-
-def integrate(fn, a: float, b: float, *, singular=(), rel_tol: float = 1e-10,
-              eval_cap: int = EVAL_CAP, scale_floor: float = 0.0,
-              max_levels: int = 12) -> float:
-    """Adaptive integral of a vectorized fn over [a, b].
-
-    Convergence: two successive refinement levels agree within
-    rel_tol * max(|I|, scale_floor).  Raises QuadratureError when the
-    evaluation cap is hit first.
-    """
-    spent = 0
-    prev = None
-    for level in range(max_levels):
-        base = _BASE0 * 2**level
-        edges = build_edges(a, b, singular, base=base,
-                            depth=_DEPTH0 * (level + 1),
-                            width_cap=(b - a) / base)
-        nodes, weights = gauss_nodes(edges, _ORDER)
-        spent += nodes.size
-        if spent > eval_cap:
-            raise QuadratureError(
-                f"evaluation cap {eval_cap} exceeded before convergence "
-                f"(last estimate {prev!r})")
-        cur = float(np.dot(weights, _eval(fn, nodes)))
-        if prev is not None:
-            scale = max(abs(cur), abs(prev), scale_floor, 1e-300)
-            if abs(cur - prev) <= rel_tol * scale:
-                return cur
-        prev = cur
-    raise QuadratureError(
-        f"no convergence after {max_levels} refinement levels "
-        f"(last estimate {prev!r})")
 
 
 def _cosine_sums(x: np.ndarray, g: np.ndarray, k_max: int) -> np.ndarray:
@@ -187,38 +133,89 @@ def _cosine_sums(x: np.ndarray, g: np.ndarray, k_max: int) -> np.ndarray:
     return acc.T.ravel()[:k_max + 1]
 
 
+def _lattice_sums(g: np.ndarray, offsets: np.ndarray, k_max: int) -> np.ndarray:
+    # S_k = sum_{p,j} g[p, j] cos(k (p h + offsets[j])), h = pi/M, M = len(g).
+    # The inner sum over p has period 2M in k: it is conj(F[k mod 2M]) for
+    # the length-2M real FFT F of column j, read as F[2M - k mod 2M] past
+    # the Nyquist bin M.
+    cells = g.shape[0]
+    spec = np.fft.rfft(g, 2 * cells, axis=0)
+    k = np.arange(k_max + 1)
+    m = k % (2 * cells)
+    fold = (m > cells)[:, None]
+    lat = spec[np.minimum(m, 2 * cells - m)]
+    lat = np.where(fold, lat, lat.conj())
+    kc = np.multiply.outer(k.astype(float), offsets)
+    return np.sum(np.cos(kc) * lat.real - np.sin(kc) * lat.imag, axis=1)
+
+
+def _marked_cells(marks, cells: int, depth: int):
+    # Cells of width pi/cells that touch a mark, and the Gauss nodes and
+    # weights of their panels.  A mark within a few ulps of a cell boundary
+    # becomes that boundary, and both neighbours are marked.  Each marked
+    # cell is cut at the marks and the ladder rungs m -+ (pi/2) 2^-j inside
+    # it; the rungs sit a fixed distance from the mark at every level, so
+    # the innermost panel does not move as the cells shrink.
+    h = math.pi / cells
+    bounds = np.arange(cells + 1) * h
+    bounds[-1] = math.pi
+    touched = set()
+    for m in marks:
+        i = round(m / h)
+        if abs(bounds[i] - m) <= 4.0 * np.spacing(math.pi):
+            bounds[i] = m
+            touched.update(p for p in (i - 1, i) if 0 <= p < cells)
+        else:
+            touched.add(min(int(m / h), cells - 1))
+    idx = np.array(sorted(touched), dtype=int)
+    if not touched:
+        return idx, np.empty(0), np.empty(0)
+    rungs = np.concatenate([_ladder(m, m + side * 0.5 * math.pi, depth)
+                            for m in marks for side in (-1.0, 1.0)])
+    panels = [gauss_nodes(np.unique(np.concatenate(
+                  ([lo, hi], rungs[(rungs > lo) & (rungs < hi)]))), _ORDER_OSC)
+              for lo, hi in zip(bounds[idx], bounds[idx + 1])]
+    return (idx, np.concatenate([x for x, _ in panels]),
+            np.concatenate([w for _, w in panels]))
+
+
 def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
                         eval_cap: int = EVAL_CAP) -> np.ndarray:
     """All C_k = integral of cos(k*x) * fn(x) over [0, pi], k = 0..k_max.
 
-    One shared node set sized for the highest frequency; the weighted
-    cosine sums are formed by angle addition, k = q*b + r with
-    b = floor(sqrt(k_max + 1)), from cos/sin at the b offsets r and the
-    k_max/b + 1 strides q*b, which cuts the trig evaluations per pass
-    from k_max per node to about 4 sqrt(k_max).  The result is certified
-    against a doubled resolution, and the finer one is returned.
+    Level L lays [0, pi] out as M = max(8, ceil(pi K / 18)) * 2^L equal
+    cells, K = max(k_max, 1), each with 16 Gauss-Legendre nodes at shared
+    offsets.  The sums over the plain cells come from one real FFT of
+    length 2M per offset; only the cells touching a point of `singular`
+    (singularities and kinks, each given a dyadic ladder) are summed node
+    by node, by angle addition.  Each level is certified against the
+    previous one, and the finer one is returned.  Raises QuadratureError
+    past `eval_cap` integrand evaluations or after six levels.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-
-    def _pass(level: int) -> tuple[np.ndarray, int]:
-        width_cap = 18.0 / max(k_max, 1)
-        base = max(_BASE0, int(np.ceil(np.pi / width_cap)))
-        edges = build_edges(0.0, np.pi, singular, base=base * 2**level,
-                            depth=_DEPTH0 * (level + 1),
-                            width_cap=width_cap / 2**level)
-        nodes, weights = gauss_nodes(edges, _ORDER_OSC)
-        g = weights * _eval(fn, nodes)
-        return _cosine_sums(nodes, g, k_max), nodes.size
-
+    marks = sorted({float(s) for s in singular if 0.0 <= s <= math.pi})
+    xi, wi = _gl(_ORDER_OSC)
     spent = 0
     prev = None
     for level in range(6):
-        cur, used = _pass(level)
-        spent += used
+        cells = max(_BASE0, math.ceil(math.pi * max(k_max, 1) / 18.0)) * 2**level
+        h = math.pi / cells
+        offsets = 0.5 * h * (xi + 1.0)
+        marked, m_nodes, m_weights = _marked_cells(marks, cells,
+                                                   _DEPTH0 * (level + 1))
+        plain = np.ones(cells, dtype=bool)
+        plain[marked] = False
+        p_nodes = (np.arange(cells)[plain, None] * h + offsets).ravel()
+        spent += p_nodes.size + m_nodes.size
         if spent > eval_cap:
             raise QuadratureError(
                 f"evaluation cap {eval_cap} exceeded in cosine transform")
+        vals = _eval(fn, np.concatenate([p_nodes, m_nodes]))
+        g = np.zeros((cells, _ORDER_OSC))
+        g[plain] = vals[:p_nodes.size].reshape(-1, _ORDER_OSC) * (0.5 * h * wi)
+        cur = (_lattice_sums(g, offsets, k_max)
+               + _cosine_sums(m_nodes, m_weights * vals[p_nodes.size:], k_max))
         if prev is not None:
             scale = max(float(np.max(np.abs(cur))), 1e-300)
             if float(np.max(np.abs(cur - prev))) <= rel_tol * scale:

@@ -121,6 +121,21 @@ def test_cold_start_reaches_mp_root_for_tall_aspect():
     assert abs(pt.s_under - mp_transform(z, c)) < 1e-10
 
 
+def test_dual_start_tightens_until_the_starts_agree(monkeypatch):
+    # just above the real axis near 0 the two starts, each stopped at the
+    # default residual target, sit millions apart; only re-iterating them
+    # at tighter targets lets the uniqueness probe accept the point
+    calls = []
+    run = limit._run_start
+    monkeypatch.setattr(limit, "_run_start",
+                        lambda *a, **k: calls.append(1) or run(*a, **k))
+    z = 1e-7 + 1e-15j
+    pt = gramspec.solve_limit_density(gramspec.constant_density(), 0.25, z)
+    oracle = mp_transform(z, 0.25)
+    assert abs(pt.s_under - oracle) <= 1e-10 * abs(oracle)
+    assert len(calls) > 2
+
+
 # ---------------------------------------------------------------------------
 # argument validation
 

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gramspec import spectral
+from gramspec import quadrature, spectral
 from gramspec.errors import QuadratureError
-from gramspec.quadrature import (build_edges, cosine_coefficients,
-                                 gauss_nodes, integrate)
+from gramspec.quadrature import build_edges, cosine_coefficients, gauss_nodes
 
 from _oracles import fractional_filter_coeff
 
@@ -42,13 +41,6 @@ def test_edges_interior_singularity_gets_two_sided_ladder():
     assert edges[i + 1] - edges[i] < 1e-3
 
 
-def test_edges_width_cap_bounds_every_panel():
-    cap = 0.01
-    edges = build_edges(0.0, 1.0, singular=(0.0,), base=8, depth=30,
-                        width_cap=cap)
-    assert float(np.diff(edges).max()) <= cap * (1.0 + 1e-9)
-
-
 def test_edges_empty_interval_rejected():
     with pytest.raises(ValueError):
         build_edges(1.0, 1.0)
@@ -60,53 +52,6 @@ def test_gauss_nodes_integrate_polynomial_exactly():
     # degree-7 polynomial is exact under 6-point Gauss panels
     val = float(np.dot(weights, nodes**7))
     assert abs(val - 2.0**8 / 8) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# integrate
-
-
-def test_integrate_smooth_matches_closed_forms():
-    assert abs(integrate(np.sin, 0.0, math.pi) - 2.0) < 1e-12
-    assert abs(integrate(np.exp, 0.0, 1.0) - (math.e - 1.0)) < 1e-12
-
-
-def test_integrate_inverse_sqrt_singularity():
-    # exponent -1/2 is the hardest case the ladder meets in practice; the
-    # innermost representable panel bounds accuracy near 1e-9
-    val = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, singular=(0.0,))
-    assert abs(val - 2.0) < 1e-8
-
-
-def test_integrate_fractional_density_matches_gamma_ratio():
-    # integral of |2 sin(x/2)|^{-2d}/(2 pi) over [-pi, pi] is the lag-0
-    # autocovariance; closed form via gamma ratios
-    d = 0.3
-    f = spectral.fractional_density(d, 1.0)
-    val = 2.0 * integrate(lambda x: spectral.density_values(f, x), 0.0,
-                          math.pi, singular=f.singular_points)
-    c0 = math.exp(math.lgamma(1 - 2 * d) - 2 * math.lgamma(1 - d))
-    assert abs(val - c0) / c0 < 1e-7
-
-
-def test_integrate_kink_inside_ladder_region():
-    # a kink at 0.3 sits inside the singular ladder's span [0, 0.5]; the
-    # width cap forces genuine refinement there, so the certified value
-    # must be right even though the mark at 0 is irrelevant to the kink
-    val = integrate(lambda x: np.abs(x - 0.3), 0.0, 1.0, singular=(0.0,))
-    exact = 0.5 * (0.3**2 + 0.7**2)
-    assert abs(val - exact) < 1e-10
-
-
-def test_integrate_eval_cap_raises():
-    with pytest.raises(QuadratureError):
-        integrate(lambda x: np.cos(57.0 * x) * np.exp(x), 0.0, math.pi,
-                  eval_cap=32)
-
-
-def test_integrate_nonfinite_integrand_raises():
-    with pytest.raises(QuadratureError):
-        integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +119,87 @@ def test_cosine_rejects_negative_k_max():
 def test_cosine_eval_cap_raises():
     with pytest.raises(QuadratureError):
         cosine_coefficients(lambda x: np.exp(np.cos(x)), 64, eval_cap=64)
+
+
+def test_cosine_inverse_sqrt_singularity():
+    # exponent -1/2 is the hardest case the ladder meets in practice; the
+    # innermost representable panel bounds accuracy near 1e-9
+    out = cosine_coefficients(lambda x: 1.0 / np.sqrt(x), 16, singular=(0.0,))
+    assert abs(out[0] - 2.0 * math.sqrt(math.pi)) < 1e-8
+
+
+def test_cosine_nonfinite_integrand_raises():
+    with pytest.raises(QuadratureError):
+        cosine_coefficients(lambda x: np.full_like(x, np.nan), 16)
+
+
+def test_marked_cells_cover_the_cells_touching_each_mark():
+    # pi/2 is the boundary between cells 714 and 715 of 1430 (up to the
+    # rounding of 715 * pi/1430), so both are marked; 0.7 lies strictly
+    # inside one cell; the ends 0 and pi touch only the first and last
+    cells = 1430
+    h = math.pi / cells
+    for marks, expect in (((math.pi / 2,), [714, 715]),
+                          ((0.7,), [int(0.7 / h)]),
+                          ((0.0, math.pi), [0, cells - 1])):
+        idx, nodes, weights = quadrature._marked_cells(marks, cells, 60)
+        assert list(idx) == expect
+        assert abs(weights.sum() - len(expect) * h) < 1e-15
+        assert np.all(np.diff(nodes) >= 0)
+        assert nodes.min() >= idx[0] * h and nodes.max() <= (idx[-1] + 1) * h
+
+
+def test_interior_kinks_match_piecewise_linear_closed_form():
+    # at K = 4096 the cells number M = 715, then 1430: the kinks at 0.7 and
+    # 2.9 lie strictly inside a cell, pi/2 inside one at M = 715 and on a
+    # boundary at M = 1430; lags 0..4096 run past both lattice periods
+    # 2M = 1430 and 2860
+    lams = [0.0, 0.7, math.pi / 2, 2.9, math.pi]
+    vals = [1.0, 3.0, 0.5, 2.0, 0.25]
+    f = spectral.tabulated_density(lams, vals)
+    out = spectral.covariance_sequence(f, 4096)
+    k = np.arange(1, 4097, dtype=float)
+    exact = np.zeros(4097)
+    for a, b, fa, fb in zip(lams[:-1], lams[1:], vals[:-1], vals[1:]):
+        beta = (fb - fa) / (b - a)
+        alpha = fa - beta * a
+
+        def primitive(x):
+            # antiderivative of (alpha + beta x) cos(kx), k >= 1
+            return ((alpha + beta * x) * np.sin(k * x) / k
+                    + beta * np.cos(k * x) / k**2)
+
+        exact[0] += alpha * (b - a) + 0.5 * beta * (b * b - a * a)
+        exact[1:] += primitive(b) - primitive(a)
+    exact *= 2.0
+    assert float(np.max(np.abs(out - exact))) < 1e-13 * exact[0]
+
+
+def test_cosine_transform_sums_few_nodes_directly(monkeypatch):
+    # the lattice FFT carries the transform: only the nodes of the cells
+    # touching the singularity reach the O(K n) direct sums
+    direct, total = [], []
+    sums, evaluate = quadrature._cosine_sums, quadrature._eval
+    monkeypatch.setattr(quadrature, "_cosine_sums",
+                        lambda x, g, k: direct.append(x.size) or sums(x, g, k))
+    monkeypatch.setattr(quadrature, "_eval",
+                        lambda fn, x: total.append(x.size) or evaluate(fn, x))
+    f = spectral.fractional_density(0.3, 1.0)
+    cosine_coefficients(lambda x: np.sqrt(spectral.density_values(f, x)),
+                        4096, singular=f.singular_points)
+    assert len(direct) == len(total) >= 2
+    assert sum(direct) < 0.05 * sum(total)
+
+
+def test_lattice_sums_match_direct_sums():
+    # the FFT route against the direct sum on the same lattice nodes, for
+    # lags past several periods 2M = 26 and at odd M
+    rng = np.random.default_rng(5)
+    cells, k_max = 13, 100
+    h = math.pi / cells
+    offsets = np.sort(rng.uniform(0.0, h, 16))
+    g = rng.standard_normal((cells, 16))
+    nodes = (np.arange(cells)[:, None] * h + offsets).ravel()
+    fast = quadrature._lattice_sums(g, offsets, k_max)
+    direct = quadrature._cosine_sums(nodes, g.ravel(), k_max)
+    assert float(np.max(np.abs(fast - direct))) < 1e-13 * np.abs(g).sum()
