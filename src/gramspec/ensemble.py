@@ -1,17 +1,23 @@
 """Seeded generation of data matrices with independent stationary rows.
 
-Each row gets its own counter-based substream keyed by (seed, stream, row
-index), so any row can be regenerated in isolation and results do not
-depend on chunking or worker scheduling.  Rows are linear processes
-X_{i,t} = sum_k a_k eps_{i,t-k} driven by a unit-variance innovation law,
-or exact Gaussian rows drawn through the PSD square root of the banded
-covariance matrix.
+Each row gets its own counter-based Philox substream keyed by (seed,
+stream, row index), so any row can be regenerated in isolation with
+``row_rng`` and results do not depend on chunking or worker scheduling.
+Rows are linear processes X_{i,t} = sum_k a_k eps_{i,t-k} driven by a
+unit-variance innovation law, or exact Gaussian rows drawn through the
+PSD square root of the banded covariance matrix.
+
+Generation does not build a generator per row: each generating thread
+keeps one Philox generator and re-keys it for every row by setting its
+state (the row's key, counter 0, empty buffers), which draws exactly the
+stream ``row_rng`` gives that row.
 
 Linear-process rows are convolved by FFT on every core the process may
 use, up to 16: the rows are split into one contiguous block per thread,
 and each thread walks its block through three buffers of at most
-_THREAD_SLOTS float slots, allocated once.  Each row is drawn from its own substream and
-transformed on its own, so the bytes equal those of a one-thread run.
+_THREAD_SLOTS float slots, allocated once; innovations are drawn straight
+into the first.  Each row is drawn from its own substream and transformed
+on its own, so the bytes equal those of a one-thread run.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,9 +68,17 @@ class InnovationLaw:
             if not nu > 2.0:
                 raise DomainError("student_t needs nu > 2 for a finite variance")
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Draw `size` innovations; into `out` (shape (size,)) if given."""
         if self.tag == "gaussian":
-            return rng.standard_normal(size)
+            return rng.standard_normal(size, out=out)
+        if out is None:
+            return self._draw(rng, size)
+        out[...] = self._draw(rng, size)
+        return out
+
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.tag == "rademacher":
             return 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0
         if self.tag == "uniform":
@@ -125,15 +140,46 @@ def law_from_spec(spec: dict) -> InnovationLaw:
     raise DomainError(f"unknown innovation law {tag!r}")
 
 
-def row_rng(seed: int, row: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for one row's substream."""
+def _row_key(seed: int, row: int, stream: int) -> tuple[int, int]:
+    # The Philox key of one row's substream: (seed mod 2^64, stream << 48 | row).
     if row < 0 or row >= 1 << 48:
         raise DomainError("row index out of range")
     if stream < 0 or stream >= 1 << 16:
         raise DomainError("stream tag out of range")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (stream << 48) | row],
-                   dtype=np.uint64)
+    return seed & 0xFFFFFFFFFFFFFFFF, (stream << 48) | row
+
+
+def row_rng(seed: int, row: int, stream: int = 0) -> np.random.Generator:
+    """Counter-based generator for one row's substream.
+
+    A Philox generator keyed by (seed mod 2^64, stream << 48 | row), with
+    row < 2^48 and stream < 2^16, at counter 0.  Generation draws the same
+    streams through one re-keyed generator per thread; this function is
+    the reference for regenerating any single row.
+    """
+    key = np.array(_row_key(seed, row, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _row_streams(seed: int, stream: int):
+    # One generator for a thread: at(row) re-keys it to exactly the stream
+    # row_rng(seed, row, stream) starts, resetting the counter, the buffered
+    # words and the cached uint32 a bounded draw may leave behind.  Setting
+    # the state takes about 1 us against 18 us for building a Philox, whose
+    # constructor also draws an unused OS-entropy SeedSequence; the setter
+    # reads plain lists and tuples faster than the arrays the getter gives.
+    gen = row_rng(seed, 0, stream)
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+
+    def at(row: int) -> np.random.Generator:
+        fresh["state"]["key"] = _row_key(seed, row, stream)
+        gen.bit_generator.state = fresh
+        return gen
+
+    return at
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +256,11 @@ def _linear_values(filt: LinearFilter, law: InnovationLaw, n_rows: int,
         eps = np.zeros((rows, nfft))  # columns m.. stay zero
         spec = np.empty((rows, nfft // 2 + 1), dtype=complex)
         conv = np.empty((rows, nfft))
+        at = _row_streams(seed, stream)
         for c0 in range(lo, hi, rows):
             k = min(rows, hi - c0)
             for j in range(k):
-                eps[j, :m] = law.sample(row_rng(seed, c0 + j, stream), m)
+                law.sample(at(c0 + j), m, out=eps[j, :m])
             np.fft.rfft(eps[:k], axis=1, out=spec[:k])
             spec[:k] *= kern
             np.fft.irfft(spec[:k], nfft, axis=1, out=conv[:k])
@@ -270,14 +317,30 @@ def generate_toeplitz_gaussian_rows(f: SpectralDensity, n_rows: int,
                                     budget: int = DEFAULT_BUDGET) -> DataMatrix:
     """Exact stationary Gaussian rows: N(0, Gamma_p) via the PSD square root.
 
-    The square root uses ``np.linalg.eigh`` (LAPACK); this is
-    deliberate plumbing, not a replacement for the package eigensolver,
-    which never touches this path.
+    Row i is z_i @ root with z_i the first p standard normals of
+    row_rng(seed, i, stream); all rows are formed in one product.  The
+    square root uses ``np.linalg.eigh`` (LAPACK); this is deliberate
+    plumbing, not a replacement for the package eigensolver, which never
+    touches this path.
     """
     if n_rows < 1 or n_cols < 1:
         raise DomainError("matrix dimensions must be positive")
     _check_budget(n_rows, n_cols, n_cols, budget)
-    gam = toeplitz_matrix(f, n_cols)
+    root = _psd_root(f, n_cols)
+    z = np.empty((n_rows, n_cols))
+    at = _row_streams(seed, stream)
+    for i in range(n_rows):
+        at(i).standard_normal(out=z[i])
+    src = (f"toeplitz-gaussian|f={f.family}|params={_params_str(f)}"
+           f"|N={n_rows}|p={n_cols}|seed={seed}|stream={stream}")
+    return DataMatrix(z @ root, seed, src)
+
+
+@lru_cache(maxsize=4)
+def _psd_root(f: SpectralDensity, p: int) -> np.ndarray:
+    # The symmetric PSD square root of Gamma_p, shared read-only by every
+    # generation from the same (f, p).
+    gam = toeplitz_matrix(f, p)
     c0 = float(gam.values[0, 0])
     w, v = np.linalg.eigh(gam.values)
     if w[0] < -1e-8 * c0:
@@ -285,12 +348,8 @@ def generate_toeplitz_gaussian_rows(f: SpectralDensity, n_rows: int,
             f"covariance matrix is indefinite beyond tolerance "
             f"(min eigenvalue {w[0]:.3e} vs -1e-8*c0 = {-1e-8 * c0:.3e})")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    out = np.empty((n_rows, n_cols))
-    for i in range(n_rows):
-        out[i] = row_rng(seed, i, stream).standard_normal(n_cols) @ root
-    src = (f"toeplitz-gaussian|f={f.family}|params={_params_str(f)}"
-           f"|N={n_rows}|p={n_cols}|seed={seed}|stream={stream}")
-    return DataMatrix(out, seed, src)
+    root.flags.writeable = False
+    return root
 
 
 def generate_stationary_lower_triangle(filt: LinearFilter, law: InnovationLaw,
@@ -378,7 +437,9 @@ def write_datamatrix(dm: DataMatrix, path) -> None:
                           dm.seed & 0xFFFFFFFFFFFFFFFF, _source_hash(dm.source))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(dm.values, dtype="<f8").tobytes())
+        # written from the array's own buffer, without a bytes copy
+        fh.write(memoryview(np.ascontiguousarray(dm.values, dtype="<f8"))
+                 .cast("B"))
 
 
 def read_datamatrix(path) -> DataMatrix:

@@ -24,7 +24,13 @@ MAX_ORDER = 4096
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Dense real symmetric matrix; the lower triangle is authoritative."""
+    """Dense real symmetric matrix; the lower triangle is authoritative.
+
+    The stored values are a read-only copy with the lower triangle
+    mirrored into the upper one and every -0.0 turned into +0.0.  An
+    input that is already exactly symmetric, such as a Gram product,
+    passes through with only the sign of its zeros normalised.
+    """
 
     values: np.ndarray
 
@@ -34,8 +40,11 @@ class SymMatrix:
             raise DomainError("SymMatrix needs a square 2-d array")
         if not np.all(np.isfinite(arr)):
             raise DomainError("SymMatrix entries must be finite")
-        low = np.tril(arr)
-        full = low + low.T - np.diag(np.diag(arr))
+        if np.array_equal(arr, arr.T):
+            full = arr + 0.0  # a copy, with -0.0 + 0.0 = +0.0 as below
+        else:
+            low = np.tril(arr)
+            full = low + low.T - np.diag(np.diag(arr))
         full.flags.writeable = False
         object.__setattr__(self, "values", full)
 
@@ -82,8 +91,13 @@ def _as_array(x) -> np.ndarray:
 
 
 def gram(x, n_rows: int | None = None) -> SymMatrix:
-    """Sample covariance (1/N) X^T X of an N x p data matrix."""
-    arr = _as_array(x)
+    """Sample covariance (1/N) X^T X of an N x p data matrix.
+
+    The operand is made C-contiguous first, so that X^T X goes to BLAS
+    syrk, which writes one triangle and mirrors it: the product is exactly
+    symmetric and SymMatrix takes it as it is.
+    """
+    arr = np.ascontiguousarray(_as_array(x))
     if arr.ndim != 2:
         raise DomainError("data matrix must be 2-d")
     n = arr.shape[0] if n_rows is None else int(n_rows)

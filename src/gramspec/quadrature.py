@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import QuadratureError
 
-EVAL_CAP = 2**20  # hard cap on integrand evaluations per call
-
 _BASE0 = 8       # uniform panels per segment (cells on [0, pi]) at level 0
 _DEPTH0 = 60     # dyadic ladder rungs per singular side at level 0
 _ORDER = 12      # Gauss-Legendre points per panel (gauss_nodes default)
@@ -37,9 +35,14 @@ def _gl(order: int):
 def _ladder(anchor: float, far: float, depth: int) -> np.ndarray:
     # Edges marching dyadically from `far` toward `anchor` (exclusive of anchor
     # itself only in the sense that the innermost edge is anchor exactly).
-    # Depth is capped so consecutive edges stay representable.
+    # Depth is capped so consecutive edges stay representable, and so the
+    # innermost panel spans at least 1024 ulps of the anchor: its Gauss
+    # nodes, the nearest 0.53 % of the width from the anchor, then stay
+    # distinct and off it.  Near 0 the ulps are tiny and the first bound
+    # alone applies.
     width = abs(far - anchor)
-    tiny = max(4.0 * np.spacing(max(abs(anchor), abs(far))), 5e-324)
+    tiny = max(4.0 * np.spacing(max(abs(anchor), abs(far))),
+               1024.0 * np.spacing(abs(anchor)), 5e-324)
     max_depth = int(np.floor(np.log2(width / tiny))) if width > tiny else 0
     d = max(1, min(depth, max_depth))
     j = np.arange(d, -1, -1, dtype=float)
@@ -180,7 +183,7 @@ def _marked_cells(marks, cells: int, depth: int):
 
 
 def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
-                        eval_cap: int = EVAL_CAP) -> np.ndarray:
+                        eval_cap: int | None = None) -> np.ndarray:
     """All C_k = integral of cos(k*x) * fn(x) over [0, pi], k = 0..k_max.
 
     Level L lays [0, pi] out as M = max(8, ceil(pi K / 18)) * 2^L equal
@@ -190,7 +193,10 @@ def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
     (singularities and kinks, each given a dyadic ladder) are summed node
     by node, by angle addition.  Each level is certified against the
     previous one, and the finer one is returned.  Raises QuadratureError
-    past `eval_cap` integrand evaluations or after six levels.
+    past `eval_cap` integrand evaluations or after six levels.  The default
+    cap is 64 times the evaluations of level 0: the plain nodes double from
+    level to level and the ladder nodes do not grow, so six levels stay
+    within it and the level limit is the one that binds.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -208,6 +214,8 @@ def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
         plain[marked] = False
         p_nodes = (np.arange(cells)[plain, None] * h + offsets).ravel()
         spent += p_nodes.size + m_nodes.size
+        if eval_cap is None:
+            eval_cap = 64 * spent
         if spent > eval_cap:
             raise QuadratureError(
                 f"evaluation cap {eval_cap} exceeded in cosine transform")

@@ -240,23 +240,95 @@ def test_generation_bytes_do_not_depend_on_the_core_count(monkeypatch,
     assert all(r == results[0] for r in results[1:])
 
 
+def _key_row(rng):
+    # the row index in the key of a row_rng-keyed generator
+    return int(rng.bit_generator.state["state"]["key"][1]) & ((1 << 48) - 1)
+
+
 def test_generation_worker_exception_reaches_the_caller(monkeypatch):
     class Boom(RuntimeError):
         pass
 
-    real = ensemble.row_rng
+    real = ensemble.InnovationLaw.sample
 
-    def row_rng(seed, row, stream=0):
+    def sample(self, rng, size, out=None):
+        row = _key_row(rng)
         if row == 9:  # in the last of three blocks, run by a worker thread
             raise Boom(f"row {row}")
-        return real(seed, row, stream)
+        return real(self, rng, size, out)
 
     monkeypatch.setattr(ensemble, "_core_count", lambda: 3)
-    monkeypatch.setattr(ensemble, "row_rng", row_rng)
+    monkeypatch.setattr(ensemble.InnovationLaw, "sample", sample)
     filt = gramspec.LinearFilter(0, np.array([1.0, 0.5]))
     with pytest.raises(Boom, match="row 9"):
         gramspec.generate_linear_rows(filt, gramspec.gaussian_law(), 10, 8,
                                       seed=1)
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_generation_draws_each_row_from_its_row_rng_stream(monkeypatch, name):
+    # every row the threads draw, in blocks of several sub-chunks, equals
+    # the draw of a fresh row_rng for that row, byte for byte
+    law = LAWS[name]()
+    seed, stream, n_rows, n_cols = 21, 5, 11, 9
+    filt = gramspec.LinearFilter(1, np.array([0.5, 1.0, -0.25]))
+    drawn = {}
+    real = ensemble.InnovationLaw.sample
+
+    def sample(self, rng, size, out=None):
+        row = _key_row(rng)
+        drawn[row] = real(self, rng, size, out).copy()
+        return out
+
+    monkeypatch.setattr(ensemble, "_core_count", lambda: 3)
+    monkeypatch.setattr(ensemble, "_THREAD_SLOTS", 2 * 12)  # 2 rows, nfft 12
+    monkeypatch.setattr(ensemble.InnovationLaw, "sample", sample)
+    gramspec.generate_linear_rows(filt, law, n_rows, n_cols, seed,
+                                  stream=stream)
+    monkeypatch.undo()
+    assert sorted(drawn) == list(range(n_rows))
+    m = n_cols + 2
+    for row, eps in drawn.items():
+        expect = law.sample(ensemble.row_rng(seed, row, stream), m)
+        assert eps.tobytes() == expect.tobytes(), f"row {row}"
+
+
+def test_rekeyed_generator_resets_counter_buffer_and_uint32_cache():
+    # odd Rademacher lengths leave half a 64-bit word cached and Gaussian
+    # draws leave buffered words: each re-keyed row must start clean, up
+    # to the last row index and in a stream other than 0
+    seed, stream = 2**64 + 7, 2**16 - 1
+    at = ensemble._row_streams(seed, stream)
+    plan = [("rademacher", 2**48 - 1, 7), ("gaussian", 5, 9),
+            ("rademacher", 5, 3), ("rademacher", 6, 5),
+            ("martingale_sign", 2**48 - 1, 11), ("student_t", 3, 7),
+            ("uniform", 0, 5), ("gaussian", 2**48 - 1, 13)]
+    for name, row, m in plan:
+        law = LAWS[name]()
+        got = law.sample(at(row), m)
+        expect = law.sample(ensemble.row_rng(seed, row, stream), m)
+        assert got.tobytes() == expect.tobytes(), (name, row)
+    with pytest.raises(DomainError):
+        at(2**48)
+
+
+def test_toeplitz_rows_use_row_streams_and_a_cached_root():
+    # row i is z_i @ root for the first p normals z_i of row_rng(seed, i);
+    # the root is computed once per (f, p) and cannot be written to
+    f = gramspec.ar1_density(0.6, 1.0)
+    seed, stream, n_rows, p = 8, 2, 7, 12
+    dm = gramspec.generate_toeplitz_gaussian_rows(f, n_rows, p, seed,
+                                                  stream=stream)
+    root = ensemble._psd_root(f, p)
+    assert root is ensemble._psd_root(f, p)
+    assert not root.flags.writeable
+    gam = ensemble.toeplitz_matrix(f, p).values
+    assert float(np.max(np.abs(root @ root - gam))) <= 1e-13 * gam[0, 0]
+    for i in range(n_rows):
+        z = ensemble.row_rng(seed, i, stream).standard_normal(p)
+        expect = z @ root
+        err = float(np.max(np.abs(dm.values[i] - expect)))
+        assert err <= 1e-13 * float(np.max(np.abs(expect)))
 
 
 def test_generation_threads_are_capped_at_sixteen(monkeypatch):
@@ -335,6 +407,16 @@ def test_datamatrix_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.values, dm.values)
     assert back.seed == dm.seed
     assert back.n_rows == 9 and back.n_cols == 17
+
+
+def test_datamatrix_payload_is_the_row_major_values(tmp_path):
+    filt = gramspec.LinearFilter(0, np.array([1.0, -0.5]))
+    dm = gramspec.generate_linear_rows(filt, gramspec.student_t_law(5.0),
+                                       4, 6, seed=3)
+    path = tmp_path / "rows.bin"
+    gramspec.write_datamatrix(dm, path)
+    blob = path.read_bytes()
+    assert blob[64:] == dm.values.astype("<f8").tobytes()
 
 
 def test_datamatrix_rejects_corrupt_files(tmp_path):

@@ -40,6 +40,42 @@ def test_gram_is_normalized_cross_product():
         gramspec.gram(x, n_rows=10)
 
 
+def _triangle_passes(a):
+    # the lower triangle mirrored, as SymMatrix builds a non-symmetric input
+    low = np.tril(a)
+    return low + low.T - np.diag(np.diag(a))
+
+
+def test_gram_is_exactly_symmetric_and_keeps_the_triangle_pass_bytes():
+    # the Gram product is exactly symmetric for C-ordered, Fortran-ordered
+    # and column-strided operands, with a zero column, and passes through
+    # SymMatrix with the bytes the triangle passes give.  A strided
+    # operand gets the bytes of its contiguous copy, within roundoff of a
+    # general product on the strided view, which is not exactly symmetric.
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((120, 90))
+    base[:, 6] = 0.0
+    for x in (base, np.asfortranarray(base), base[:, ::2]):
+        g = gramspec.gram(x).values
+        assert np.array_equal(g, g.T)
+        assert not np.signbit(g[g == 0.0]).any()
+        c = np.ascontiguousarray(x)
+        assert g.tobytes() == _triangle_passes((c.T @ c) / 120).tobytes()
+        if x.flags.c_contiguous or x.flags.f_contiguous:
+            assert g.tobytes() == _triangle_passes((x.T @ x) / 120).tobytes()
+        else:
+            ref = _triangle_passes((x.T @ x) / 120)
+            assert float(np.max(np.abs(g - ref))) <= 1e-14 * ref.max()
+
+
+def test_symmatrix_of_a_symmetric_array_is_a_normalised_copy():
+    a = np.array([[2.0, -0.0, 1.5], [0.0, -0.0, -3.0], [1.5, -3.0, 1e300]])
+    m = gramspec.SymMatrix(a)
+    assert m.values is not a and a.flags.writeable
+    assert not m.values.flags.writeable
+    assert m.values.tobytes() == _triangle_passes(a).tobytes()
+
+
 def test_symmetrize_gram_squares_to_gram_spectrum():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((8, 5))

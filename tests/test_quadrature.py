@@ -149,6 +149,25 @@ def test_marked_cells_cover_the_cells_touching_each_mark():
         assert nodes.min() >= idx[0] * h and nodes.max() <= (idx[-1] + 1) * h
 
 
+@pytest.mark.parametrize("mark, depth", [(math.pi / 2, 60), (0.7, 120)])
+def test_marked_cell_nodes_stay_distinct_and_off_an_interior_mark(mark,
+                                                                  depth):
+    # the innermost ladder panel is wide enough in ulps of the mark for
+    # its 16 Gauss nodes to be distinct doubles, none on the mark itself
+    idx, nodes, weights = quadrature._marked_cells((mark,), 1430, depth)
+    assert np.all(np.diff(nodes) > 0)
+    assert not np.any(nodes == mark)
+    assert abs(weights.sum() - len(idx) * math.pi / 1430) < 1e-15
+
+
+def test_ladders_anchored_at_zero_reach_the_first_representable_bound():
+    # near 0 the ulps are tiny, so the innermost rung is still set by 4
+    # ulps of the far end: 50 rungs from pi/2, as for every level's
+    # fractional filter and limit nodes
+    edges = quadrature._ladder(0.0, 0.5 * math.pi, 60)
+    assert edges.size == 52 and edges[1] == 0.5 * math.pi * 0.5**50
+
+
 def test_interior_kinks_match_piecewise_linear_closed_form():
     # at K = 4096 the cells number M = 715, then 1430: the kinks at 0.7 and
     # 2.9 lie strictly inside a cell, pi/2 inside one at M = 715 and on a

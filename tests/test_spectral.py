@@ -157,6 +157,15 @@ def test_filter_tail_tolerance_unreachable_raises():
                                      tail_tol=1e-6, hard_cap=256)
 
 
+def test_filter_past_k_65536_reaches_its_hard_cap():
+    # the default evaluation cap follows the level-0 cell count, so a
+    # K = 131072 transform (about 1.1e6 evaluations over two levels) runs,
+    # and the refusal is the tail's, not the quadrature's
+    with pytest.raises(TailToleranceUnreachable, match="K=131072"):
+        gramspec.filter_from_density(gramspec.fractional_density(0.3),
+                                     tail_tol=1e-6, hard_cap=2**17)
+
+
 def test_linear_filter_validation():
     with pytest.raises(DomainError):
         gramspec.LinearFilter(0, np.array([]))
