@@ -18,9 +18,8 @@ from .spectral import (LinearFilter, SpectralDensity, ar1_density,
                        fractional_density, h_pushforward, ma1_density,
                        regularity_profile, tabulated_density,
                        truncate_density)
-from .ensemble import (DataMatrix, EnsembleConfig, InnovationLaw,
-                       gaussian_law, generate, generate_gaussian_rows,
-                       generate_linear_rows,
+from .ensemble import (DataMatrix, InnovationLaw, gaussian_law,
+                       generate_gaussian_rows, generate_linear_rows,
                        generate_stationary_lower_triangle,
                        generate_toeplitz_gaussian_rows, law_from_spec,
                        martingale_sign_law, rademacher_law,
@@ -50,8 +49,8 @@ __all__ = [
     "eval_density", "filter_from_density", "fractional_density",
     "h_pushforward", "ma1_density", "regularity_profile",
     "tabulated_density", "truncate_density",
-    "DataMatrix", "EnsembleConfig", "InnovationLaw", "gaussian_law",
-    "generate", "generate_gaussian_rows", "generate_linear_rows",
+    "DataMatrix", "InnovationLaw", "gaussian_law",
+    "generate_gaussian_rows", "generate_linear_rows",
     "generate_stationary_lower_triangle", "generate_toeplitz_gaussian_rows",
     "law_from_spec", "martingale_sign_law", "rademacher_law",
     "read_datamatrix", "row_rng", "student_t_law", "toeplitz_matrix",

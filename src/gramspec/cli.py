@@ -38,12 +38,13 @@ from .ensemble import (DataMatrix, InnovationLaw, gaussian_law,
                        law_from_spec, read_datamatrix, toeplitz_matrix,
                        write_datamatrix, DEFAULT_BUDGET)
 from .errors import ConfigError, GramspecError
-from .limit import (LimitDistribution, SolverSettings, default_x_grid,
+from .limit import (LimitDistribution, SolverSettings, check_caps,
+                    check_grid_points, check_x_grid, default_x_grid,
                     invert_to_distribution, solve_limit_density,
                     truncation_ladder)
 from .matrixops import Esd, gram, symmetric_eigenvalues
 from .metrics import StepCdf, kolmogorov_distance, levy_distance
-from .spectral import (SpectralDensity, density_from_spec,
+from .spectral import (SpectralDensity, check_tail_tol, density_from_spec,
                        filter_from_density, h_pushforward, probe_values)
 
 _COMMANDS = ("solve", "simulate", "compare", "toeplitz", "universality",
@@ -69,7 +70,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     law: InnovationLaw
     laws: tuple[InnovationLaw, ...]
-    law_names: tuple[str, ...]
     tail_tol: float
     ensemble_kind: str
     solver: SolverSettings
@@ -152,24 +152,17 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     law = law or gaussian_law()
 
     laws: tuple[InnovationLaw, ...] = ()
-    law_names: tuple[str, ...] = ()
     if "laws" in raw:
         def _laws():
             specs = raw["laws"]
             if not isinstance(specs, list) or len(specs) < 2:
                 raise ValueError("'laws' needs a list of at least two entries")
-            built = tuple(law_from_spec(s) if isinstance(s, dict)
-                          else law_from_spec({"law": s}) for s in specs)
-            return built, tuple(lw.describe() for lw in built)
-        got = grab(_laws, "bad 'laws'")
-        if got:
-            laws, law_names = got
+            return tuple(law_from_spec(s) if isinstance(s, dict)
+                         else law_from_spec({"law": s}) for s in specs)
+        laws = grab(_laws, "bad 'laws'") or ()
 
-    tail_tol = grab(lambda: float(raw.get("tail_tol", 1e-6)), "bad 'tail_tol'")
-    if tail_tol is not None and tail_tol <= 0:
-        errors.append("'tail_tol' must be positive")
-        tail_tol = 1e-6
-    tail_tol = tail_tol or 1e-6
+    tail_tol = grab(lambda: check_tail_tol(raw.get("tail_tol", 1e-6)),
+                    "bad 'tail_tol'") or 1e-6
 
     ensemble_kind = raw.get("ensemble", "filter")
     if ensemble_kind not in ("filter", "toeplitz-gaussian"):
@@ -194,14 +187,8 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
             extra = set(g) - {"n_points", "x"}
             if extra:
                 raise ValueError(f"unknown grid keys {sorted(extra)}")
-            pts = int(g.get("n_points", 480))
-            if pts < 16:
-                raise ValueError("n_points must be >= 16")
-            xg = None
-            if "x" in g:
-                xg = np.asarray([float(v) for v in g["x"]])
-                if xg.size < 2 or np.any(np.diff(xg) <= 0) or xg[0] <= 0:
-                    raise ValueError("grid.x must be positive and increasing")
+            pts = check_grid_points(int(g.get("n_points", 480)))
+            xg = check_x_grid(g["x"]) if "x" in g else None
             return pts, xg
         got = grab(_grid, "bad 'grid'")
         if got:
@@ -218,9 +205,9 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
                    "re_max": float(zl["re_max"]),
                    "count": int(zl.get("count", 40)),
                    "im": float(zl.get("im", 0.05))}
-            if out["re_max"] <= out["re_min"] or out["count"] < 2:
+            if not out["re_max"] > out["re_min"] or out["count"] < 2:
                 raise ValueError("need re_max > re_min and count >= 2")
-            if out["im"] <= 0:
+            if not out["im"] > 0:
                 raise ValueError("im must be positive")
             return out
         z_line = grab(_zline, "bad 'z_line'")
@@ -231,18 +218,14 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
         if extra:
             raise ValueError(f"unknown threshold keys {sorted(extra)}")
         out = {k: float(v) for k, v in th.items()}
-        if any(v <= 0 for v in out.values()):
+        if not all(v > 0 for v in out.values()):
             raise ValueError("thresholds must be positive")
         return out
     thresholds = grab(_thresholds, "bad 'thresholds'") or {}
 
-    def _caps():
-        cp = tuple(float(b) for b in raw.get("caps", ()))
-        if cp and (any(b <= 0 for b in cp) or
-                   any(b2 <= b1 for b1, b2 in zip(cp, cp[1:]))):
-            raise ValueError("caps must be positive and strictly increasing")
-        return cp
-    caps = grab(_caps, "bad 'caps'") or ()
+    caps: tuple[float, ...] = ()
+    if "caps" in raw:
+        caps = grab(lambda: check_caps(raw["caps"]), "bad 'caps'") or ()
 
     workers = grab(lambda: int(raw.get("workers", 1)), "bad 'workers'")
     if workers is not None and workers < 1:
@@ -279,7 +262,7 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
         raise ConfigError(errors)
     return ExperimentConfig(
         raw=raw, name=name, density=density, n_rows=n_rows, n_cols=n_cols,
-        seeds=seeds, law=law, laws=laws, law_names=law_names,
+        seeds=seeds, law=law, laws=laws,
         tail_tol=tail_tol, ensemble_kind=ensemble_kind, solver=solver,
         grid_points=grid_points, x_grid=x_grid,
         z_line=z_line, thresholds=thresholds, caps=caps, workers=workers,
@@ -359,6 +342,15 @@ def _seed_matrix(cfg: ExperimentConfig, seed: int, stream: int = 0,
                                 seed, stream=stream, budget=cfg.budget)
 
 
+def _seed_esd(cfg: ExperimentConfig, seed: int, filt, save_dir=None,
+              stream: int = 0, law: InnovationLaw | None = None) -> Esd:
+    # One seed's Gram eigenvalues; its matrix is cached under save_dir.
+    dm = _seed_matrix(cfg, seed, stream=stream, law=law, filt=filt)
+    if save_dir is not None:
+        write_datamatrix(dm, os.path.join(save_dir, f"seed{seed}.bin"))
+    return symmetric_eigenvalues(gram(dm.values))
+
+
 def _ensemble_filter(cfg: ExperimentConfig):
     if cfg.ensemble_kind == "toeplitz-gaussian" or cfg.load_matrices:
         return None
@@ -420,18 +412,16 @@ def _cmd_solve(cfg: ExperimentConfig, stage: str):
     return result, True
 
 
-def _simulate_esds(cfg: ExperimentConfig, stage: str, want_save: bool):
+def _simulate_esds(cfg: ExperimentConfig, stage: str):
     filt = _ensemble_filter(cfg)
+    save_dir = None
+    if cfg.save_matrices:
+        save_dir = os.path.join(stage, "matrices")
+        os.makedirs(save_dir)
 
     def job(seed: int) -> Esd:
-        dm = _seed_matrix(cfg, seed, filt=filt)
-        if want_save:
-            write_datamatrix(dm, os.path.join(stage, "matrices",
-                                              f"seed{seed}.bin"))
-        return symmetric_eigenvalues(gram(dm.values))
+        return _seed_esd(cfg, seed, filt, save_dir)
 
-    if want_save:
-        os.makedirs(os.path.join(stage, "matrices"), exist_ok=True)
     esds = _pmap(job, list(cfg.seeds), cfg.workers)
     for seed, esd in zip(cfg.seeds, esds):
         _write_csv(os.path.join(stage, f"esd_seed{seed}.csv"),
@@ -445,7 +435,7 @@ def _simulate_esds(cfg: ExperimentConfig, stage: str, want_save: bool):
 
 def _cmd_simulate(cfg: ExperimentConfig, stage: str):
     _require(cfg, "simulate", "density", "aspect", "seeds")
-    esds, pooled = _simulate_esds(cfg, stage, cfg.save_matrices)
+    esds, pooled = _simulate_esds(cfg, stage)
     result = {
         "seeds": list(cfg.seeds),
         "eigs_per_seed": cfg.n_cols,
@@ -462,7 +452,7 @@ def _cmd_compare(cfg: ExperimentConfig, stage: str):
         cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
     _limit_csv(stage, limit)
     limit_cdf = StepCdf.from_limit(limit)
-    esds, pooled = _simulate_esds(cfg, stage, cfg.save_matrices)
+    esds, pooled = _simulate_esds(cfg, stage)
     rows = []
     per_seed = []
     for seed, esd in zip(cfg.seeds, esds):
@@ -525,29 +515,39 @@ def _cmd_toeplitz(cfg: ExperimentConfig, stage: str):
 
 def _cmd_universality(cfg: ExperimentConfig, stage: str):
     _require(cfg, "universality", "density", "aspect", "seeds", "laws")
+    # every law drives the density's filter on fresh rows, so the other
+    # row sources and the matrix cache have nothing to act on
+    unread = []
+    if cfg.ensemble_kind != "filter":
+        unread.append("'ensemble' must be 'filter'")
+    if cfg.load_matrices is not None:
+        unread.append("'load_matrices' is not read")
+    if cfg.save_matrices:
+        unread.append("'save_matrices' is not read")
+    if unread:
+        raise ConfigError([f"command 'universality': {m}" for m in unread])
     c = float(cfg.aspect_ratio)
     limit = invert_to_distribution(
         cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
     _limit_csv(stage, limit)
     limit_cdf = StepCdf.from_limit(limit)
-    filt = filter_from_density(cfg.density, tail_tol=cfg.tail_tol)
+    filt = _ensemble_filter(cfg)
+    jobs = [(i, law, seed) for i, law in enumerate(cfg.laws)
+            for seed in cfg.seeds]
 
     def job(args):
         idx, law, seed = args
-        dm = generate_linear_rows(filt, law, cfg.n_rows, cfg.n_cols, seed,
-                                  stream=idx, budget=cfg.budget)
-        return symmetric_eigenvalues(gram(dm.values))
+        return _seed_esd(cfg, seed, filt, stream=idx, law=law)
 
-    jobs = [(i, law, seed) for i, law in enumerate(cfg.laws)
-            for seed in cfg.seeds]
     esds = _pmap(job, jobs, cfg.workers)
     pooled = {}
     for (i, _, _), esd in zip(jobs, esds):
         pooled.setdefault(i, []).append(esd.eigs)
+    names = [lw.describe() for lw in cfg.laws]
     pooled_cdfs = {}
     rows = []
     worst_levy = 0.0
-    for i, name in enumerate(cfg.law_names):
+    for i, name in enumerate(names):
         agg = Esd(np.concatenate(pooled[i]))
         pooled_cdfs[i] = StepCdf.from_esd(agg)
         lv = levy_distance(pooled_cdfs[i], limit_cdf)
@@ -561,11 +561,11 @@ def _cmd_universality(cfg: ExperimentConfig, stage: str):
         for j in range(i + 1, len(cfg.laws)):
             lv = levy_distance(pooled_cdfs[i], pooled_cdfs[j])
             worst_cross = max(worst_cross, lv)
-            cross_rows.append((cfg.law_names[i], cfg.law_names[j], lv))
+            cross_rows.append((names[i], names[j], lv))
     _write_csv(os.path.join(stage, "cross_distances.csv"),
                ["law_a", "law_b", "levy"], cross_rows)
     curves = [{"xs": limit.x_grid, "ys": limit.cdf, "label": "limit"}]
-    for i, name in enumerate(cfg.law_names):
+    for i, name in enumerate(names):
         e = pooled_cdfs[i]
         curves.append({"xs": e.xs, "ys": e.right, "label": name,
                        "kind": "step"})
@@ -577,7 +577,7 @@ def _cmd_universality(cfg: ExperimentConfig, stage: str):
     passed = ((gate_l is None or worst_levy <= gate_l)
               and (gate_x is None or worst_cross <= gate_x))
     result = {
-        "laws": list(cfg.law_names),
+        "laws": names,
         "max_levy_to_limit": worst_levy,
         "max_cross_levy": worst_cross,
         "levy_threshold": gate_l,

@@ -26,8 +26,7 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -367,54 +366,6 @@ def generate_stationary_lower_triangle(filt: LinearFilter, law: InnovationLaw,
     _check_budget(n, n, filt.coeffs.size, budget)
     vals = _linear_values(filt, law, n, n, seed, stream)
     return vals[np.tril_indices(n)].copy()
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Recipe for one seeded data matrix; aspect ratio is kept exact."""
-
-    kind: str  # "filter" | "gaussian-from-density" | "toeplitz-gaussian"
-    n_rows: int
-    n_cols: int
-    seed: int
-    density: SpectralDensity | None = None
-    filt: LinearFilter | None = None
-    law: InnovationLaw | None = None
-    tail_tol: float = 1e-6
-    stream: int = 0
-    budget: int = field(default=DEFAULT_BUDGET, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in ("filter", "gaussian-from-density",
-                             "toeplitz-gaussian"):
-            raise DomainError(f"unknown ensemble kind {self.kind!r}")
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise DomainError("matrix dimensions must be positive")
-        if self.kind == "filter" and (self.filt is None or self.law is None):
-            raise DomainError("filter ensembles need filt and law")
-        if self.kind != "filter" and self.density is None:
-            raise DomainError(f"{self.kind} ensembles need a density")
-
-    @property
-    def aspect_ratio(self) -> Fraction:
-        return Fraction(self.n_cols, self.n_rows)
-
-
-def generate(config: EnsembleConfig) -> DataMatrix:
-    if config.kind == "filter":
-        return generate_linear_rows(config.filt, config.law, config.n_rows,
-                                    config.n_cols, config.seed,
-                                    stream=config.stream, budget=config.budget)
-    if config.kind == "gaussian-from-density":
-        return generate_gaussian_rows(config.density, config.n_rows,
-                                      config.n_cols, config.seed,
-                                      tail_tol=config.tail_tol,
-                                      stream=config.stream,
-                                      budget=config.budget)
-    return generate_toeplitz_gaussian_rows(config.density, config.n_rows,
-                                           config.n_cols, config.seed,
-                                           stream=config.stream,
-                                           budget=config.budget)
 
 
 def _digest(arr: np.ndarray) -> str:

@@ -88,7 +88,7 @@ def companion_inverse(s_under: complex, c: float, z: complex) -> complex:
 def _nodes(f: SpectralDensity, level: int):
     marks = tuple(sorted(set(_singular_in_half(f)) | set(_refine_points(f))))
     edges = quadrature.build_edges(0.0, math.pi, singular=marks,
-                                   base=64 * 2**level, depth=60 + 10 * level)
+                                   base=64 * 2**level)
     lam, w = quadrature.gauss_nodes(edges, order=12)
     fv = density_values(f, lam)
     with np.errstate(divide="ignore"):
@@ -305,6 +305,24 @@ def solve_limit_H(h, c: float, z: complex,
 # ---------------------------------------------------------------------------
 # Inversion on the real axis: exact support, density and CDF.
 
+def check_x_grid(x_grid) -> np.ndarray:
+    """The evaluation grid as a float array; DomainError unless it is 1-d,
+    of length >= 2, positive and strictly increasing (NaN fails)."""
+    x = np.asarray(x_grid, dtype=float)
+    if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0) \
+            or not x[0] > 0:
+        raise DomainError("x_grid must be a 1-d array of at least two "
+                          "positive, strictly increasing values")
+    return x
+
+
+def check_grid_points(n_points: int) -> int:
+    """DomainError unless a default grid of n_points can be laid out."""
+    if n_points < 16:
+        raise DomainError("n_points must be >= 16")
+    return n_points
+
+
 # Evaluation points sit at x + i*_ETA*x.  On the real axis itself the
 # iterate falls onto the kernel's 1e-14 Herglotz floor far in the tail of an
 # unbounded density; at this height the density and CDF move by O(_ETA).
@@ -331,13 +349,11 @@ class LimitDistribution:
     residual_max: float = 0.0
 
     def __post_init__(self):
-        x = np.asarray(self.x_grid, dtype=float)
+        x = check_x_grid(self.x_grid)
         rho = np.asarray(self.density, dtype=float)
         cdf = np.asarray(self.cdf, dtype=float)
-        if x.ndim != 1 or x.size < 2 or rho.shape != x.shape or cdf.shape != x.shape:
-            raise DomainError("grid arrays must be matching 1-d, length >= 2")
-        if np.any(np.diff(x) <= 0) or x[0] <= 0:
-            raise DomainError("x_grid must be positive and strictly increasing")
+        if rho.shape != x.shape or cdf.shape != x.shape:
+            raise DomainError("density and cdf must match x_grid's shape")
         if np.any(rho < 0):
             raise DomainError("density must be nonnegative")
         if np.any(np.diff(cdf) < -1e-12):
@@ -439,9 +455,7 @@ def invert_to_distribution(f: SpectralDensity, c: float, x_grid,
     the same nodes as the solve, and is mapped to the CDF by
     F = (F_under - (1 - c))/c.  The returned x_grid is the grid passed.
     """
-    x = np.asarray(x_grid, dtype=float)
-    if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0) or x[0] <= 0:
-        raise DomainError("x_grid must be positive and strictly increasing")
+    x = check_x_grid(x_grid)
     if not c > 0:
         raise DomainError("aspect ratio c must be positive")
     settings = settings or SolverSettings()
@@ -475,8 +489,7 @@ def default_x_grid(f: SpectralDensity, c: float,
     """
     if not c > 0:
         raise DomainError("aspect ratio c must be positive")
-    if n_points < 16:
-        raise DomainError("n_points must be >= 16")
+    check_grid_points(n_points)
     v = probe_values(f)
     hi_q = float(np.quantile(v, 1.0 - 3e-4))
     top = 1.05 * hi_q * (1.0 + math.sqrt(c)) ** 2
@@ -503,6 +516,18 @@ class TruncationLadder:
     masses: tuple[float, ...]
 
 
+def check_caps(caps) -> tuple[float, ...]:
+    """The caps of a truncation ladder as floats; DomainError unless there
+    are at least two, all positive and strictly increasing (NaN fails)."""
+    caps = tuple(float(b) for b in caps)
+    if len(caps) < 2:
+        raise DomainError(f"caps need at least two entries, got {len(caps)}")
+    if not all(b > 0 for b in caps) or \
+            not all(b2 > b1 for b1, b2 in zip(caps, caps[1:])):
+        raise DomainError("caps must be positive and strictly increasing")
+    return caps
+
+
 def truncation_ladder(f: SpectralDensity, c: float, caps,
                       settings: SolverSettings | None = None, *,
                       n_points: int = 360) -> TruncationLadder:
@@ -515,10 +540,7 @@ def truncation_ladder(f: SpectralDensity, c: float, caps,
     from .metrics import StepCdf, levy_distance
     from .spectral import covariance_from_density, truncate_density
 
-    caps = tuple(float(b) for b in caps)
-    if len(caps) < 2 or any(b <= 0 for b in caps) or \
-            any(b2 <= b1 for b1, b2 in zip(caps, caps[1:])):
-        raise DomainError("caps must be positive and strictly increasing")
+    caps = check_caps(caps)
     limits = []
     masses = []
     for b in caps:

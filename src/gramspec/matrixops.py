@@ -43,8 +43,7 @@ class SymMatrix:
         if np.array_equal(arr, arr.T):
             full = arr + 0.0  # a copy, with -0.0 + 0.0 = +0.0 as below
         else:
-            low = np.tril(arr)
-            full = low + low.T - np.diag(np.diag(arr))
+            full = np.tril(arr) + np.tril(arr, -1).T
         full.flags.writeable = False
         object.__setattr__(self, "values", full)
 

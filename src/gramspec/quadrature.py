@@ -21,7 +21,6 @@ import numpy as np
 from .errors import QuadratureError
 
 _BASE0 = 8       # uniform panels per segment (cells on [0, pi]) at level 0
-_DEPTH0 = 60     # dyadic ladder rungs per singular side at level 0
 _ORDER = 12      # Gauss-Legendre points per panel (gauss_nodes default)
 _ORDER_OSC = 16  # points per cell for oscillatory cosine transforms
 
@@ -32,31 +31,32 @@ def _gl(order: int):
     return x, w
 
 
-def _ladder(anchor: float, far: float, depth: int) -> np.ndarray:
-    # Edges marching dyadically from `far` toward `anchor` (exclusive of anchor
-    # itself only in the sense that the innermost edge is anchor exactly).
-    # Depth is capped so consecutive edges stay representable, and so the
-    # innermost panel spans at least 1024 ulps of the anchor: its Gauss
-    # nodes, the nearest 0.53 % of the width from the anchor, then stay
-    # distinct and off it.  Near 0 the ulps are tiny and the first bound
-    # alone applies.
+def _ladder(anchor: float, far: float) -> np.ndarray:
+    # Edges marching dyadically from `far` toward `anchor`, halving the
+    # distance at each rung, with the anchor itself as the innermost edge.
+    # The rungs run to the representable bound: the innermost panel spans
+    # at least 4 ulps of the larger end, so consecutive edges stay
+    # distinct, and at least 1024 ulps of the anchor, so its Gauss nodes,
+    # the nearest 0.53 % of the width from the anchor, stay distinct and
+    # off it.  Near 0 the ulps are tiny and the first bound alone applies.
+    # With both ends in [-pi/2, 3pi/2], as every caller has them, that is
+    # at most 50 rungs.
     width = abs(far - anchor)
     tiny = max(4.0 * np.spacing(max(abs(anchor), abs(far))),
                1024.0 * np.spacing(abs(anchor)), 5e-324)
-    max_depth = int(np.floor(np.log2(width / tiny))) if width > tiny else 0
-    d = max(1, min(depth, max_depth))
-    j = np.arange(d, -1, -1, dtype=float)
+    depth = int(np.floor(np.log2(width / tiny))) if width > tiny else 0
+    j = np.arange(max(1, depth), -1, -1, dtype=float)
     edges = anchor + (far - anchor) * 0.5**j
     return np.concatenate(([anchor], edges))
 
 
-def build_edges(a: float, b: float, singular=(), base: int = _BASE0,
-                depth: int = _DEPTH0) -> np.ndarray:
+def build_edges(a: float, b: float, singular=(),
+                base: int = _BASE0) -> np.ndarray:
     """Panel edges on [a, b] with dyadic ladders toward each singular point.
 
     Each segment between singular points gets `base` uniform panels; a
-    ladder of `depth` rungs runs from the segment's midpoint to each
-    singular end.
+    ladder runs from the segment's midpoint to each singular end, halving
+    its rungs down to the representable bound (see _ladder).
     """
     if not b > a:
         raise ValueError("empty integration interval")
@@ -70,13 +70,13 @@ def build_edges(a: float, b: float, singular=(), base: int = _BASE0,
         seg = []
         if lo_sing and hi_sing:
             mid = 0.5 * (lo + hi)
-            seg.append(_ladder(lo, mid, depth))
-            seg.append(_ladder(hi, mid, depth)[::-1])
+            seg.append(_ladder(lo, mid))
+            seg.append(_ladder(hi, mid)[::-1])
             pieces.append(np.concatenate([seg[0], seg[1][1:]]))
             continue
         if lo_sing:
             mid_lo = lo + 0.5 * (hi - lo)
-            seg.append(_ladder(lo, mid_lo, depth))
+            seg.append(_ladder(lo, mid_lo))
         if hi_sing:
             mid_hi = hi - 0.5 * (hi - lo)
         uniform = np.linspace(mid_lo, mid_hi, base + 1)
@@ -84,7 +84,7 @@ def build_edges(a: float, b: float, singular=(), base: int = _BASE0,
             uniform = uniform[1:]
         seg.append(uniform)
         if hi_sing:
-            seg.append(_ladder(hi, mid_hi, depth)[::-1][1:])
+            seg.append(_ladder(hi, mid_hi)[::-1][1:])
         pieces.append(np.concatenate(seg))
     return np.concatenate([p if i == 0 else p[1:] for i, p in enumerate(pieces)])
 
@@ -152,7 +152,7 @@ def _lattice_sums(g: np.ndarray, offsets: np.ndarray, k_max: int) -> np.ndarray:
     return np.sum(np.cos(kc) * lat.real - np.sin(kc) * lat.imag, axis=1)
 
 
-def _marked_cells(marks, cells: int, depth: int):
+def _marked_cells(marks, cells: int):
     # Cells of width pi/cells that touch a mark, and the Gauss nodes and
     # weights of their panels.  A mark within a few ulps of a cell boundary
     # becomes that boundary, and both neighbours are marked.  Each marked
@@ -173,7 +173,7 @@ def _marked_cells(marks, cells: int, depth: int):
     idx = np.array(sorted(touched), dtype=int)
     if not touched:
         return idx, np.empty(0), np.empty(0)
-    rungs = np.concatenate([_ladder(m, m + side * 0.5 * math.pi, depth)
+    rungs = np.concatenate([_ladder(m, m + side * 0.5 * math.pi)
                             for m in marks for side in (-1.0, 1.0)])
     panels = [gauss_nodes(np.unique(np.concatenate(
                   ([lo, hi], rungs[(rungs > lo) & (rungs < hi)]))), _ORDER_OSC)
@@ -190,8 +190,9 @@ def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
     cells, K = max(k_max, 1), each with 16 Gauss-Legendre nodes at shared
     offsets.  The sums over the plain cells come from one real FFT of
     length 2M per offset; only the cells touching a point of `singular`
-    (singularities and kinks, each given a dyadic ladder) are summed node
-    by node, by angle addition.  Each level is certified against the
+    (singularities and kinks) are summed node by node, by angle addition;
+    each mark gets dyadic ladders over pi/2 on both sides, run to the
+    representable bound and the same at every level.  Each level is certified against the
     previous one, and the finer one is returned.  Raises QuadratureError
     past `eval_cap` integrand evaluations or after six levels.  The default
     cap is 64 times the evaluations of level 0: the plain nodes double from
@@ -208,8 +209,7 @@ def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
         cells = max(_BASE0, math.ceil(math.pi * max(k_max, 1) / 18.0)) * 2**level
         h = math.pi / cells
         offsets = 0.5 * h * (xi + 1.0)
-        marked, m_nodes, m_weights = _marked_cells(marks, cells,
-                                                   _DEPTH0 * (level + 1))
+        marked, m_nodes, m_weights = _marked_cells(marks, cells)
         plain = np.ones(cells, dtype=bool)
         plain[marked] = False
         p_nodes = (np.arange(cells)[plain, None] * h + offsets).ravel()

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -268,6 +268,15 @@ class LinearFilter:
         return LinearFilter(0, self.coeffs, self.tail_bound)
 
 
+def check_tail_tol(tail_tol) -> float:
+    """The filter's relative tail tolerance as a float; DomainError unless
+    it is positive (NaN included)."""
+    tail_tol = float(tail_tol)
+    if not tail_tol > 0:
+        raise DomainError("tail_tol must be positive")
+    return tail_tol
+
+
 def filter_from_density(f: SpectralDensity, tail_tol: float = 1e-6,
                         hard_cap: int = MAX_FILTER_HALF_LENGTH) -> LinearFilter:
     """Symmetric-support moving-average filter reproducing the density f.
@@ -278,8 +287,7 @@ def filter_from_density(f: SpectralDensity, tail_tol: float = 1e-6,
     c_0 - sum of a_k^2 drops below tail_tol * c_0.  Raises
     TailToleranceUnreachable if that needs K beyond hard_cap.
     """
-    if tail_tol <= 0:
-        raise DomainError("tail_tol must be positive")
+    check_tail_tol(tail_tol)
     c0 = covariance_from_density(f, 0)
     scale = 2.0 / math.sqrt(TWO_PI)
     k = 64
@@ -358,9 +366,9 @@ def _pushforward_cells(f: SpectralDensity, level: int):
         lo = max(0.0, m - window)
         hi = min(math.pi, m + window)
         if m > lo:
-            pieces.append(quadrature._ladder(m, lo, 50))
+            pieces.append(quadrature._ladder(m, lo))
         if hi > m:
-            pieces.append(quadrature._ladder(m, hi, 50))
+            pieces.append(quadrature._ladder(m, hi))
     edges = np.unique(np.concatenate(pieces))
     v = TWO_PI * density_values(f, edges)
     lo = np.minimum(v[:-1], v[1:])

@@ -1,12 +1,12 @@
 """Command-line driver: config parsing, run artifacts, determinism."""
 
 import json
-import os
+import math
 
 import pytest
 
-from gramspec import cli
-from gramspec.errors import ConfigError
+from gramspec import cli, constant_density, truncation_ladder
+from gramspec.errors import ConfigError, DomainError
 
 
 SOLVE_CFG = {
@@ -59,7 +59,7 @@ def test_parse_config_collects_all_errors(tmp_path):
         "seeds": "not-a-list",
     }
     with pytest.raises(ConfigError) as exc:
-        cli.parse_config(bad, "simulate")
+        cli.parse_config(bad)
     msg = str(exc.value)
     assert "nonsense" in msg
     assert "n" in msg and "seeds" in msg
@@ -70,16 +70,50 @@ def test_parse_config_collects_all_errors(tmp_path):
 def test_parse_config_rejects_nonpositive_workers_and_budget(key, value):
     # 0 must not fall back to the default
     with pytest.raises(ConfigError) as exc:
-        cli.parse_config(dict(SIM_CFG, **{key: value}), "simulate")
+        cli.parse_config(dict(SIM_CFG, **{key: value}))
     assert exc.value.messages == [f"'{key}' must be >= 1"]
-    cfg = cli.parse_config(dict(SIM_CFG, **{key: 3}), "simulate")
+    cfg = cli.parse_config(dict(SIM_CFG, **{key: 3}))
     assert getattr(cfg, key) == 3
 
 
 def test_parse_config_rejects_the_removed_eps_ladder():
     with pytest.raises(ConfigError) as exc:
-        cli.parse_config(dict(SOLVE_CFG, eps_ladder=[0.05, 0.02]), "solve")
+        cli.parse_config(dict(SOLVE_CFG, eps_ladder=[0.05, 0.02]))
     assert exc.value.messages == ["unknown config key 'eps_ladder'"]
+
+
+def test_parse_config_rejects_one_cap_with_the_ladders_message():
+    # the truncation ladder's own check runs at parse time
+    with pytest.raises(DomainError) as lib:
+        truncation_ladder(constant_density(), 0.5, [5.0])
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SOLVE_CFG, caps=[5.0]))
+    assert exc.value.messages == [f"bad 'caps': {lib.value}"]
+    assert "at least two" in str(lib.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tail_tol", math.nan),
+    ("caps", [1.0, math.nan]),
+    ("thresholds", {"levy": math.nan}),
+    ("z_line", dict(SOLVE_CFG["z_line"], im=math.nan)),
+    ("grid", {"x": [1.0, math.nan, 3.0]}),
+])
+def test_parse_config_rejects_nan(key, value):
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SOLVE_CFG, **{key: value}))
+    (msg,) = exc.value.messages
+    assert msg.startswith(f"bad '{key}': ")
+
+
+def test_nan_tail_tol_from_the_command_line_exits_two(tmp_path, monkeypatch,
+                                                      capsys):
+    # refused when the config is read, before any filter is built
+    assert _run(tmp_path, monkeypatch, "simulate", SIM_CFG,
+                "--set", "tail_tol=NaN") == 2
+    assert capsys.readouterr().err == \
+        "config error: bad 'tail_tol': tail_tol must be positive\n"
+    assert not (tmp_path / "runs").exists()
 
 
 def test_config_hash_is_canonical():
@@ -171,20 +205,64 @@ def test_gate_failure_exits_one(tmp_path, monkeypatch):
     _assert_inversion_reported(manifest["result"], 0.5)
 
 
+UNIV_CFG = {
+    "name": "t-univ",
+    "density": {"family": "constant", "sigma2": 1.0},
+    "aspect": {"n": 80, "p": 40},
+    "seeds": [1],
+    "laws": ["gaussian", "rademacher"],
+    "grid": {"n_points": 64},
+    "solver": {"tol": 1e-9, "quad_tol": 1e-7},
+}
+
+
 def test_universality_manifest_reports_inversion(tmp_path, monkeypatch):
-    cfg = {
-        "name": "t-univ",
-        "density": {"family": "constant", "sigma2": 1.0},
-        "aspect": {"n": 80, "p": 40},
-        "seeds": [1],
-        "laws": ["gaussian", "rademacher"],
-        "grid": {"n_points": 64},
-        "solver": {"tol": 1e-9, "quad_tol": 1e-7},
-    }
-    assert _run(tmp_path, monkeypatch, "universality", cfg) == 0
+    assert _run(tmp_path, monkeypatch, "universality", UNIV_CFG) == 0
     manifest = json.loads(
         (_only_run_dir(tmp_path) / "manifest.json").read_text())
     _assert_inversion_reported(manifest["result"], 0.5)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"ensemble": "toeplitz-gaussian"}, "'ensemble' must be 'filter'"),
+    ({"load_matrices": "cache"}, "'load_matrices' is not read"),
+    ({"save_matrices": True}, "'save_matrices' is not read"),
+])
+def test_universality_rejects_row_sources_it_does_not_read(
+        tmp_path, monkeypatch, capsys, extra, message):
+    # every law drives the filter on fresh rows; a key that would choose
+    # other rows, or cache them, is refused before any work
+    assert _run(tmp_path, monkeypatch, "universality",
+                dict(UNIV_CFG, **extra)) == 2
+    assert capsys.readouterr().err == \
+        f"config error: command 'universality': {message}\n"
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
+def test_workers_write_the_same_files_as_one_worker(tmp_path, monkeypatch):
+    # three seeds on three pool workers give the bytes of a serial run;
+    # only the manifest, which records the config, differs
+    dirs = []
+    for workers in (1, 3):
+        root = tmp_path / f"workers{workers}"
+        monkeypatch.setenv("GRAMSPEC_OUTPUT_ROOT", str(root))
+        cfg = dict(SIM_CFG, seeds=[1, 2, 3], save_matrices=True,
+                   workers=workers)
+        path = _write(tmp_path, cfg, f"workers{workers}.json")
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        (run_dir,) = root.iterdir()
+        dirs.append(run_dir)
+    files = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file())
+             for d in dirs]
+    assert files[0] == files[1]
+    assert len(list((dirs[0] / "matrices").iterdir())) == 3
+    for rel in files[0]:
+        if rel.name != "manifest.json":
+            assert (dirs[0] / rel).read_bytes() == \
+                (dirs[1] / rel).read_bytes(), rel
+    one, three = (json.loads((d / "manifest.json").read_text())
+                  for d in dirs)
+    assert one["artifacts"] == three["artifacts"]
 
 
 def _assert_inversion_reported(result, c):

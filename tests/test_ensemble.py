@@ -185,22 +185,6 @@ def test_generate_gaussian_rows_matches_filter_route_statistics():
                - ar1_covariance(1, 0.4)) < 3 * tol
 
 
-def test_generate_dispatch_matches_direct_calls():
-    f = gramspec.ar1_density(0.5, 1.0)
-    filt = gramspec.LinearFilter(0, np.array([1.0, 0.5]))
-    law = gramspec.gaussian_law()
-    cfg = gramspec.EnsembleConfig(kind="filter", n_rows=6, n_cols=20, seed=8,
-                                  filt=filt, law=law)
-    np.testing.assert_array_equal(
-        gramspec.generate(cfg).values,
-        gramspec.generate_linear_rows(filt, law, 6, 20, seed=8).values)
-    cfg2 = gramspec.EnsembleConfig(kind="toeplitz-gaussian", n_rows=6,
-                                   n_cols=20, seed=8, density=f)
-    np.testing.assert_array_equal(
-        gramspec.generate(cfg2).values,
-        gramspec.generate_toeplitz_gaussian_rows(f, 6, 20, seed=8).values)
-
-
 def test_generate_lower_triangle_rows_are_process_copies():
     filt = gramspec.LinearFilter(0, np.array([1.0, 0.5]))
     law = gramspec.gaussian_law()

@@ -76,6 +76,19 @@ def test_symmatrix_of_a_symmetric_array_is_a_normalised_copy():
     assert m.values.tobytes() == _triangle_passes(a).tobytes()
 
 
+def test_symmatrix_mirrors_the_lower_triangle_without_overflow():
+    # a non-symmetric input gets the reference bytes, signed zeros
+    # normalised, and a diagonal entry near the top of the double range
+    # stays finite: the mirror adds only zeros to it, where 2a - a overflows
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((7, 7)) * np.logspace(-300, 300, 7)
+    a[2, 1] = a[4, 4] = a[1, 5] = -0.0
+    m = gramspec.SymMatrix(a)
+    assert m.values.tobytes() == _triangle_passes(a).tobytes()
+    huge = gramspec.SymMatrix(np.array([[1e308, 0.0], [1.0, 2.0]]))
+    assert huge.values.tolist() == [[1e308, 1.0], [1.0, 2.0]]
+
+
 def test_symmetrize_gram_squares_to_gram_spectrum():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((8, 5))

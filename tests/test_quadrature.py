@@ -24,7 +24,7 @@ def test_edges_plain_interval_is_uniform():
 
 
 def test_edges_include_singular_point_and_refine_toward_it():
-    edges = build_edges(0.0, 1.0, singular=(0.0,), base=8, depth=20)
+    edges = build_edges(0.0, 1.0, singular=(0.0,), base=8)
     assert edges[0] == 0.0
     widths = np.diff(edges)
     # ladder widths shrink geometrically toward the anchor
@@ -33,7 +33,7 @@ def test_edges_include_singular_point_and_refine_toward_it():
 
 
 def test_edges_interior_singularity_gets_two_sided_ladder():
-    edges = build_edges(0.0, 2.0, singular=(1.0,), base=8, depth=15)
+    edges = build_edges(0.0, 2.0, singular=(1.0,), base=8)
     assert 1.0 in edges
     i = int(np.where(edges == 1.0)[0][0])
     # panels adjacent to the mark are tiny on both sides
@@ -142,29 +142,28 @@ def test_marked_cells_cover_the_cells_touching_each_mark():
     for marks, expect in (((math.pi / 2,), [714, 715]),
                           ((0.7,), [int(0.7 / h)]),
                           ((0.0, math.pi), [0, cells - 1])):
-        idx, nodes, weights = quadrature._marked_cells(marks, cells, 60)
+        idx, nodes, weights = quadrature._marked_cells(marks, cells)
         assert list(idx) == expect
         assert abs(weights.sum() - len(expect) * h) < 1e-15
         assert np.all(np.diff(nodes) >= 0)
         assert nodes.min() >= idx[0] * h and nodes.max() <= (idx[-1] + 1) * h
 
 
-@pytest.mark.parametrize("mark, depth", [(math.pi / 2, 60), (0.7, 120)])
-def test_marked_cell_nodes_stay_distinct_and_off_an_interior_mark(mark,
-                                                                  depth):
+@pytest.mark.parametrize("mark", [math.pi / 2, 0.7])
+def test_marked_cell_nodes_stay_distinct_and_off_an_interior_mark(mark):
     # the innermost ladder panel is wide enough in ulps of the mark for
     # its 16 Gauss nodes to be distinct doubles, none on the mark itself
-    idx, nodes, weights = quadrature._marked_cells((mark,), 1430, depth)
+    idx, nodes, weights = quadrature._marked_cells((mark,), 1430)
     assert np.all(np.diff(nodes) > 0)
     assert not np.any(nodes == mark)
     assert abs(weights.sum() - len(idx) * math.pi / 1430) < 1e-15
 
 
 def test_ladders_anchored_at_zero_reach_the_first_representable_bound():
-    # near 0 the ulps are tiny, so the innermost rung is still set by 4
-    # ulps of the far end: 50 rungs from pi/2, as for every level's
-    # fractional filter and limit nodes
-    edges = quadrature._ladder(0.0, 0.5 * math.pi, 60)
+    # near 0 the ulps are tiny, so the innermost rung is set by 4 ulps of
+    # the far end: 50 rungs from pi/2, as for every level's fractional
+    # filter and limit nodes
+    edges = quadrature._ladder(0.0, 0.5 * math.pi)
     assert edges.size == 52 and edges[1] == 0.5 * math.pi * 0.5**50
 
 
