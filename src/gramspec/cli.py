@@ -490,15 +490,17 @@ def _cmd_toeplitz(cfg: ExperimentConfig, stage: str):
     p = cfg.toeplitz_order
     esd = symmetric_eigenvalues(toeplitz_matrix(cfg.density, p))
     grid = _h_window(cfg.density)
-    hv = np.maximum.accumulate(h_pushforward(cfg.density, grid))
+    hv = h_pushforward(cfg.density, grid)
     _write_csv(os.path.join(stage, "toeplitz_esd.csv"), ["index", "lambda"],
                list(enumerate(esd.eigs.tolist())))
     _write_csv(os.path.join(stage, "pushforward_cdf.csv"), ["x", "H"],
                zip(grid.tolist(), hv.tolist()))
     fs = StepCdf.from_esd(esd)
-    fh = StepCdf.from_grid(grid, np.minimum(hv, 1.0))
-    ko = kolmogorov_distance(fs, fh)
-    lv = levy_distance(fs, fh)
+    # between eigenvalues the ESD is flat and H monotone, so sup |F_p - H|
+    # sits at the eigenvalues: exact wherever H has no atom
+    h_eigs = h_pushforward(cfg.density, fs.xs)
+    ko = kolmogorov_distance(fs, StepCdf(fs.xs, h_eigs, h_eigs))
+    lv = levy_distance(fs, StepCdf.from_grid(grid, hv))
     _svg.write_overlay(
         os.path.join(stage, "toeplitz_overlay.svg"),
         [{"xs": grid, "ys": hv, "label": "transformed-density law"},

@@ -497,10 +497,12 @@ def default_x_grid(f: SpectralDensity, c: float,
     lower_edge = 0.25 * vmin * (1.0 - math.sqrt(c)) ** 2 if c < 1.0 else 0.0
     lo = max(top * 1e-7, lower_edge)
     n_geo = n_points // 4
-    knee = top / 16.0
+    # a flat density at small c lifts lo past top/16; lo <= 0.24 top always
+    # (vmin <= hi_q), so a knee at 2 lo keeps both runs increasing
+    knee = max(top / 16.0, 2.0 * lo)
     geo = np.geomspace(lo, knee, n_geo, endpoint=False)
     lin = np.linspace(knee, top, n_points - n_geo)
-    return np.concatenate([geo, lin])
+    return check_x_grid(np.concatenate([geo, lin]))
 
 
 # ---------------------------------------------------------------------------

@@ -170,26 +170,47 @@ def _singular_in_half(f: SpectralDensity) -> tuple[float, ...]:
 
 def _refine_points(f: SpectralDensity) -> tuple[float, ...]:
     # Non-singular abscissae worth panel refinement: cap crossings of a
-    # truncated density and the node kinks of a tabulated one.
+    # truncated density and the node kinks of a tabulated one.  np.interp
+    # holds a table flat past its end knots, so those are kinks too.
     if f.family == "tabulated":
-        return tuple(f.table[0][1:-1])
+        return tuple(lam for lam in f.table[0] if 0.0 < lam < math.pi)
     if f.family == "truncated-of":
         (b,) = f.params
         marks = list(_refine_points(f.base))
-        grid = np.linspace(0.0, math.pi, 8193)
-        v = density_values(f.base, grid) - b
-        sign = np.sign(v)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            lo, hi = grid[i], grid[i + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if sign[i] * (float(density_values(f.base, np.asarray([mid]))[0]) - b) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            marks.append(0.5 * (lo + hi))
+        for lo, hi, vlo, vhi in _monotone_pieces(f.base):
+            if min(vlo, vhi) < b < max(vlo, vhi):
+                end = _level_set_ends(f.base, lo, hi, vlo < vhi,
+                                      np.asarray([b]))
+                marks.append(float(end[0]))
         return tuple(sorted(marks))
     return ()
+
+
+def _monotone_pieces(f: SpectralDensity):
+    # (lo, hi, f(lo), f(hi)) for each stretch of [0, pi] between consecutive
+    # marks.  Every family is monotone between its singular points and
+    # refine points (an extremum sits at 0, at pi or at a table knot), so f
+    # is monotone on each piece and constant where f(lo) == f(hi).
+    marks = sorted({0.0, math.pi, *_singular_in_half(f), *_refine_points(f)})
+    vals = density_values(f, np.asarray(marks))
+    return zip(marks[:-1], marks[1:], vals[:-1].tolist(), vals[1:].tolist())
+
+
+def _level_set_ends(f: SpectralDensity, lo: float, hi: float, rising: bool,
+                    levels: np.ndarray) -> np.ndarray:
+    # Inner end t of {lam in [lo, hi] : f(lam) <= y} for every level y, on
+    # a piece where f rises (the set is [lo, t]) or falls ([t, hi]).  All
+    # levels halve along one dyadic tree, and two levels part at the first
+    # midpoint where they disagree, so t is monotone in y even where f
+    # rounds non-monotonically.
+    a = np.full(levels.shape, float(lo))
+    b = np.full(levels.shape, float(hi))
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        right = (density_values(f, mid) <= levels) == rising
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    return 0.5 * (a + b)
 
 
 @lru_cache(maxsize=None)
@@ -323,114 +344,39 @@ def regularity_profile(filt: LinearFilter, m: int) -> float:
     return float(math.sqrt(np.dot(tail, tail))) if tail.size else 0.0
 
 
-def _extrema_marks(f: SpectralDensity) -> tuple[float, ...]:
-    # Interior stationary points of the density, located by a coarse scan
-    # plus golden-section refinement; endpoints 0 and pi are always marks.
-    grid = np.linspace(0.0, math.pi, 8193)
-    v = density_values(f, grid)
-    finite = np.isfinite(v)
-    dv = np.diff(np.where(finite, v, np.nan))
-    marks = []
-    flips = np.nonzero(dv[:-1] * dv[1:] < 0)[0]
-    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
-    for i in flips:
-        lo, hi = grid[i], grid[i + 2]
-        maximize = dv[i] > 0
-        a, b = lo, hi
-        x1 = b - inv_gold * (b - a)
-        x2 = a + inv_gold * (b - a)
-        f1 = float(density_values(f, np.asarray([x1]))[0])
-        f2 = float(density_values(f, np.asarray([x2]))[0])
-        for _ in range(80):
-            take_left = (f1 > f2) if maximize else (f1 < f2)
-            if take_left:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - inv_gold * (b - a)
-                f1 = float(density_values(f, np.asarray([x1]))[0])
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + inv_gold * (b - a)
-                f2 = float(density_values(f, np.asarray([x2]))[0])
-        marks.append(0.5 * (a + b))
-    return tuple(marks)
-
-
-def _pushforward_cells(f: SpectralDensity, level: int):
-    # Sample 2.pi.f on [0, pi] with dyadic clustering toward every mark, and
-    # return per-cell (width, vmin, vmax) for the measure computation.
-    marks = sorted(set(_singular_in_half(f)) | set(_refine_points(f))
-                   | set(_extrema_marks(f)) | {0.0, math.pi})
-    pieces = [np.linspace(0.0, math.pi, 2**level + 1)]
-    window = math.pi / 64.0
-    for m in marks:
-        lo = max(0.0, m - window)
-        hi = min(math.pi, m + window)
-        if m > lo:
-            pieces.append(quadrature._ladder(m, lo))
-        if hi > m:
-            pieces.append(quadrature._ladder(m, hi))
-    edges = np.unique(np.concatenate(pieces))
-    v = TWO_PI * density_values(f, edges)
-    lo = np.minimum(v[:-1], v[1:])
-    hi = np.maximum(v[:-1], v[1:])
-    width = np.diff(edges)
-    keep = np.isfinite(lo)  # cells touching a singular edge carry ~0 width
-    return width[keep], lo[keep], np.where(np.isfinite(hi[keep]), hi[keep], np.inf)
-
-
-def _measure_cdf(width, vlo, vhi, x_grid):
-    # Law of the linear interpolant of 2.pi.f under uniform lambda: each cell
-    # is a ramp from vlo to vhi carrying mass width/pi; flat cells are atoms.
-    flat = vhi - vlo <= 1e-300
-    ramp = ~flat & np.isfinite(vhi)
-    atoms_x = vlo[flat]
-    atoms_w = width[flat]
-    starts = vlo[ramp]
-    stops = vhi[ramp]
-    slopes = width[ramp] / (stops - starts)
-    events = np.concatenate([starts, stops])
-    deltas = np.concatenate([slopes, -slopes])
-    order = np.argsort(events, kind="stable")
-    events = events[order]
-    cum_slope = np.cumsum(deltas[order])
-    seg = np.diff(events)
-    mass = np.concatenate([[0.0], np.cumsum(cum_slope[:-1] * seg)])
-    idx = np.searchsorted(events, x_grid, side="right") - 1
-    out = np.zeros(len(x_grid))
-    inside = idx >= 0
-    ii = idx[inside]
-    out[inside] = mass[ii] + cum_slope[ii] * (x_grid[inside] - events[ii])
-    total = mass[-1] if events.size else 0.0
-    out = np.minimum(out, total)
-    if atoms_x.size:
-        aorder = np.argsort(atoms_x)
-        ax, aw = atoms_x[aorder], np.cumsum(atoms_w[aorder])
-        j = np.searchsorted(ax, x_grid, side="right")
-        out += np.where(j > 0, aw[np.maximum(j - 1, 0)], 0.0)
-    return np.minimum(out / math.pi, 1.0)
-
-
 def h_pushforward(f: SpectralDensity, x_grid) -> np.ndarray:
     """CDF of 2.pi.f(U), U uniform on [-pi, pi], evaluated on x_grid.
 
-    This is the limiting eigenvalue law of the pure-covariance (Toeplitz)
-    matrices built from f.  Computed by measuring {lambda : 2.pi.f <= x}
-    on a refined sampling of [0, pi]; two sampling resolutions must agree
-    to 1e-7 in sup norm or QuadratureError is raised.
+    H(x) = |{lambda in [0, pi] : 2.pi.f(lambda) <= x}| / pi is the limiting
+    eigenvalue law of the Toeplitz covariance matrices built from f (first
+    Szego theorem; Tilli 1998 extends it to every f in L^1, long memory
+    included).  f is monotone between consecutive marks (0, pi, singular
+    points, table knots, cap crossings), so on each such piece the level set
+    is one interval, whose inner end is found by one bisection over all of
+    x_grid at once; a flat piece is an atom.  The result is exact up to
+    rounding, nondecreasing, and ends at exactly 1 above the top value of
+    2.pi.f.  Raises only DomainError, for a grid that is empty, holds NaN or
+    is not strictly increasing.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.ndim != 1 or x_grid.size == 0 or np.any(np.diff(x_grid) <= 0):
-        raise DomainError("x_grid must be nonempty and strictly increasing")
-    prev = None
-    for level in (15, 16, 17):
-        cur = _measure_cdf(*_pushforward_cells(f, level), x_grid)
-        # cell measures carry ~1e-11 sampling jitter; a CDF must not dip
-        cur = np.maximum.accumulate(cur)
-        if prev is not None and float(np.max(np.abs(cur - prev))) <= 1e-7:
-            return cur
-        prev = cur
-    raise quadrature.QuadratureError(
-        "pushforward CDF did not stabilize across sampling resolutions")
+    if x_grid.ndim != 1 or x_grid.size == 0 or np.isnan(x_grid).any() \
+            or np.any(np.diff(x_grid) <= 0):
+        raise DomainError("x_grid must be nonempty, free of NaN and strictly "
+                          "increasing")
+    y = x_grid / TWO_PI
+    measure = np.zeros(y.shape)
+    total = 0.0
+    for lo, hi, vlo, vhi in _monotone_pieces(f):
+        rising = vlo < vhi
+        part = np.where(y >= max(vlo, vhi), hi - lo, 0.0)
+        inside = (y >= min(vlo, vhi)) & (y < max(vlo, vhi))
+        ends = _level_set_ends(f, lo, hi, rising, y[inside])
+        part[inside] = ends - lo if rising else hi - ends
+        measure += part
+        total += hi - lo
+    # the pieces' widths sum to pi up to rounding; dividing by that same
+    # sum makes H exactly 1 once x clears every piece
+    return measure / total
 
 
 def density_from_spec(spec: dict, base_dir=None) -> SpectralDensity:

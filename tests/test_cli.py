@@ -29,6 +29,13 @@ SIM_CFG = {
 }
 
 
+TOEPLITZ_CFG = {
+    "name": "t-toeplitz",
+    "density": {"family": "fractional", "d": 0.3},
+    "toeplitz": {"p": 300},
+}
+
+
 def _write(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -155,8 +162,9 @@ def test_solve_run_produces_manifest_and_artifacts(tmp_path, monkeypatch):
 def test_runs_are_byte_deterministic(tmp_path, monkeypatch):
     for tag in ("one", "two"):
         monkeypatch.setenv("GRAMSPEC_OUTPUT_ROOT", str(tmp_path / tag))
-        path = _write(tmp_path, SIM_CFG, f"{tag}.json")
-        assert cli.main(["simulate", "--config", str(path)]) == 0
+        for sub, cfg in (("simulate", SIM_CFG), ("toeplitz", TOEPLITZ_CFG)):
+            path = _write(tmp_path, cfg, f"{tag}-{sub}.json")
+            assert cli.main([sub, "--config", str(path)]) == 0
     d1 = sorted((tmp_path / "one").rglob("*"))
     d2 = sorted((tmp_path / "two").rglob("*"))
     rel1 = [p.relative_to(tmp_path / "one") for p in d1 if p.is_file()]
@@ -165,6 +173,18 @@ def test_runs_are_byte_deterministic(tmp_path, monkeypatch):
     for r in rel1:
         assert (tmp_path / "one" / r).read_bytes() == \
             (tmp_path / "two" / r).read_bytes(), r
+
+
+@pytest.mark.parametrize("density", [{"family": "fractional", "d": 0.3},
+                                     {"family": "ar1", "phi": 0.6}])
+def test_toeplitz_run_reports_the_exact_kolmogorov_distance(
+        tmp_path, monkeypatch, density):
+    # the Szego limit puts the ESD about 1/p from H in sup norm
+    cfg = dict(TOEPLITZ_CFG, density=density)
+    assert _run(tmp_path, monkeypatch, "toeplitz", cfg) == 0
+    result = json.loads(
+        (_only_run_dir(tmp_path) / "manifest.json").read_text())["result"]
+    assert 0.0 < result["kolmogorov"] <= 2.0 / 300
 
 
 def test_set_overrides_config_values(tmp_path, monkeypatch):

@@ -231,11 +231,14 @@ def test_long_memory_limit_has_one_edge():
 
 
 def test_default_x_grid_covers_support():
+    # c <= 0.1 is where the lower MP edge of a flat density passes top/16
     f = gramspec.constant_density(1.0)
-    grid = gramspec.default_x_grid(f, 0.5, n_points=100)
-    assert grid.ndim == 1 and grid.size == 100
-    assert np.all(grid > 0) and np.all(np.diff(grid) > 0)
-    assert grid[-1] >= mp_edges(0.5)[1]
+    for c in (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1,
+              0.5):
+        grid = gramspec.default_x_grid(f, c, n_points=100)
+        assert grid.ndim == 1 and grid.size == 100
+        assert np.all(grid > 0) and np.all(np.diff(grid) > 0)
+        assert grid[-1] >= mp_edges(c)[1]
 
 
 def test_limit_distribution_validation():

@@ -245,6 +245,27 @@ def test_tabulated_density_interpolates_and_mirrors():
         0.5 * (vals[2] + vals[3]), rel=1e-14)
 
 
+@pytest.mark.parametrize("lams", [[0.3, 1.0, 1.5, 2.0, 3.0],
+                                  [0.3, 1.0, 1.5, 2.0, math.pi]])
+def test_tabulated_covariance_past_the_end_knots(lams):
+    # the table is held flat outside its knots, which makes kinks there
+    vals = [1.0, 0.5, 0.8, 0.2, 0.6]
+    f = gramspec.tabulated_density(lams, vals)
+    knots = np.array([0.0, *lams, math.pi])
+    v = np.array([vals[0], *vals, vals[-1]])
+    a, b, va, vb = knots[:-1], knots[1:], v[:-1], v[1:]
+    for max_lag in (7, 63, 199, 999):
+        k = np.arange(1, max_lag + 1)[:, None]
+        # exact 2 * integral of cos(k lam) f over [0, pi], segment by segment
+        slope = np.divide(vb - va, b - a, out=np.zeros_like(a), where=b > a)
+        seg = (vb * np.sin(k * b) - va * np.sin(k * a)) / k \
+            + slope * (np.cos(k * b) - np.cos(k * a)) / k**2
+        exact = 2.0 * np.concatenate(
+            [[np.sum((va + vb) * (b - a)) / 2.0], seg.sum(axis=1)])
+        got = gramspec.covariance_sequence(f, max_lag)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-10)
+
+
 def test_tabulated_density_validation():
     with pytest.raises(DomainError):
         gramspec.tabulated_density([0.0, 1.0], [1.0, -0.2])
@@ -253,21 +274,76 @@ def test_tabulated_density_validation():
 
 
 def test_h_pushforward_matches_closed_form_ar1_law():
-    phi, s2 = 0.5, 1.0
-    f = gramspec.ar1_density(phi, s2)
-    lo = s2 / (1 + phi) ** 2
-    hi = s2 / (1 - phi) ** 2
-    xs = np.linspace(0.5 * lo, 1.2 * hi, 200)
-    got = gramspec.h_pushforward(f, xs)
-    oracle = ar1_pushforward_cdf(xs, phi, s2)
-    assert float(np.max(np.abs(got - oracle))) < 1e-5
-    assert got[0] == 0.0 and got[-1] == pytest.approx(1.0, abs=1e-6)
+    s2 = 1.0
+    for phi in (0.3, 0.5, 0.9):
+        f = gramspec.ar1_density(phi, s2)
+        lo = s2 / (1 + phi) ** 2
+        hi = s2 / (1 - phi) ** 2
+        xs = np.linspace(0.5 * lo, 1.2 * hi, 200)
+        got = gramspec.h_pushforward(f, xs)
+        oracle = ar1_pushforward_cdf(xs, phi, s2)
+        assert float(np.max(np.abs(got - oracle))) < 1e-12
+        assert got[0] == 0.0 and got[-1] == 1.0
+
+
+def _toeplitz_esd(f, p):
+    # numpy's eigensolver keeps these tests about H, not about ours
+    return gramspec.StepCdf.from_esd(gramspec.Esd(
+        np.linalg.eigvalsh(gramspec.toeplitz_matrix(f, p).values)))
+
+
+@pytest.mark.parametrize("f", [
+    gramspec.fractional_density(0.1),
+    gramspec.fractional_density(0.3),
+    gramspec.fractional_density(0.45),
+    gramspec.ar1_density(0.5),
+    gramspec.ma1_density(0.4, 2.0),
+], ids=["frac0.1", "frac0.3", "frac0.45", "ar1", "ma1"])
+def test_h_pushforward_is_the_toeplitz_spectral_law(f):
+    # H is continuous here, so sup |F_p - H| sits at the eigenvalues; the
+    # Szego limit puts it near 1/p
+    for p in (200, 1000):
+        esd = _toeplitz_esd(f, p)
+        h = gramspec.h_pushforward(f, esd.xs)
+        ko = max(float(np.max(np.abs(esd.right - h))),
+                 float(np.max(np.abs(esd.left - h))))
+        assert ko <= 2.0 / p
+
+
+@pytest.mark.parametrize("f", [
+    gramspec.truncate_density(gramspec.fractional_density(0.3), 0.5),
+    gramspec.tabulated_density([0.0, 1.0, 1.5, 2.0, math.pi],
+                               [0.4, 0.4, 1.0, 1.0, 0.3]),
+    gramspec.tabulated_density([0.3, 1.0, 1.5, 2.0, 3.0],
+                               [1.0, 0.5, 0.8, 0.2, 0.6]),
+], ids=["truncated", "flat-table", "short-table"])
+def test_h_pushforward_with_atoms_is_the_toeplitz_spectral_law(f):
+    # flat stretches of f are atoms of H, which the ESD spreads over a
+    # shrinking window: the Levy distance, not Kolmogorov, measures that
+    top = float(np.max(spectral.probe_values(f)))
+    levy = {}
+    for p in (200, 1000):
+        esd = _toeplitz_esd(f, p)
+        grid = np.union1d(np.linspace(0.0, 1.01 * top, 20001), esd.xs)
+        h = gramspec.h_pushforward(f, grid)
+        assert h[-1] == 1.0
+        levy[p] = gramspec.levy_distance(
+            esd, gramspec.StepCdf.from_grid(grid, h))
+    assert levy[1000] < levy[200] and levy[1000] <= 0.01
+
+
+def test_h_pushforward_of_constant_density_is_one_step():
+    s2 = 1.3
+    xs = s2 * np.linspace(0.5, 1.5, 1000)  # steps past s2 without hitting it
+    h = gramspec.h_pushforward(gramspec.constant_density(s2), xs)
+    np.testing.assert_array_equal(h, (xs > s2).astype(float))
 
 
 def test_h_pushforward_rejects_bad_grid():
     f = gramspec.ar1_density(0.5, 1.0)
-    with pytest.raises(DomainError):
-        gramspec.h_pushforward(f, [2.0, 1.0])
+    for grid in ([2.0, 1.0], [1.0, math.nan, 2.0], [math.nan]):
+        with pytest.raises(DomainError):
+            gramspec.h_pushforward(f, grid)
 
 
 # ---------------------------------------------------------------------------
