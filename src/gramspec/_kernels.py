@@ -5,7 +5,8 @@ of 32 columns applied as one product, those of the last 32 columns one at
 a time); the eigenvalues of the tridiagonal matrix, by root-free
 implicit-shift QL (a plain Python loop on Python floats) up to order 200,
 where it is the faster of the two, and by divide and conquer above, whose
-merges solve all their secular equation roots at once in numpy; and
+merges solve all their secular equation roots at once in numpy; the trace
+of the tridiagonal resolvent, ``resolvent_trace``, by pivots in O(n); and
 ``fixed_point``, the safeguarded Newton iteration that solves the limiting
 equation.
 """
@@ -43,7 +44,9 @@ def tridiagonalize(a: np.ndarray):
     w = s[_NB-k:_NB+k] pairs each u with its q in w[::-1], so the pending
     update is w[::-1].T @ w.  A row is brought up to date by one small
     product against w before its reflector is built, and the product of
-    the stale trailing block with u is corrected by w the same way.  After
+    the stale trailing block with u is corrected by w the same way; the
+    reversed vector of each such product is copied first, because numpy
+    runs a product with a negative-stride operand outside BLAS.  After
     _NB pairs, or at once when the trailing block has order at most _NB,
     the pending update goes into the trailing block as one product.  The
     input is not modified.
@@ -56,7 +59,7 @@ def tridiagonalize(a: np.ndarray):
     for i in range(n - 1, 1, -1):
         if k:  # bring row i up to date
             w = s[_NB - k:_NB + k]
-            a[i, :i + 1] -= w[::-1, i] @ w[:, :i + 1]
+            a[i, :i + 1] -= w[::-1, i].copy() @ w[:, :i + 1]
         v = s[_NB - 1 - k, :i]
         v[:] = a[i, :i]
         scale = float(np.sum(np.abs(v)))
@@ -74,7 +77,7 @@ def tridiagonalize(a: np.ndarray):
             p = blk @ v
             if k:
                 w = s[_NB - k:_NB + k, :i]
-                p -= (w @ v)[::-1] @ w
+                p -= (w @ v)[::-1].copy() @ w
             p /= h
             kk = float(p @ v) / (2.0 * h)
             np.subtract(p, kk * v, out=s[_NB + k, :i])
@@ -189,6 +192,48 @@ def tridiagonal_eigenvalues(d, e, cap: int):
             e2[l] = s * p
             d[l] = sigma + gamma
     return np.ldexp(np.sort(d), scale_exp), 0
+
+
+def resolvent_trace(d, e, z: complex) -> complex:
+    """Tr (T - zI)^{-1} = sum_i 1/(lambda_i - z) of the symmetric
+    tridiagonal matrix T = (d, e), for Im z != 0, in O(n).
+
+    T and z are first scaled by a power of two to unit size, as in
+    tridiagonal_eigenvalues, with |z| counted in the size.
+    With u_i = d_i - z, the forward pivots f_0 = u_0,
+    f_i = u_i - e_i^2 / f_{i-1} of the LDL^T factorization of T - zI and
+    the backward ones g_{n-1} = u_{n-1}, g_i = u_i - e_{i+1}^2 / g_{i+1} of
+    its UDU^T one give every diagonal entry of the inverse,
+    1 / (u_i - e_i^2 / f_{i-1} - e_{i+1}^2 / g_{i+1}) (Golub and Meurant,
+    Matrices, Moments and Quadrature, 2010, ch. 3).  Subtracting
+    e^2 / f moves Im f further from zero on the side of -Im z, so every
+    pivot and every denominator has |Im| >= |Im z|: none can vanish.  The
+    loops run on Python complex floats.
+    """
+    z = complex(z)
+    d = np.asarray(d, dtype=np.float64)
+    b = np.asarray(e, dtype=np.float64)[1:]
+    top = max(float(np.max(np.abs(d))), float(np.max(np.abs(b), initial=0.0)),
+              abs(z))
+    scale_exp = math.frexp(top)[1]
+    zs = complex(math.ldexp(z.real, -scale_exp),
+                 math.ldexp(z.imag, -scale_exp))
+    u = [x - zs for x in np.ldexp(d, -scale_exp).tolist()]
+    b = np.ldexp(b, -scale_exp)
+    e2 = (b * b).tolist()
+    n = len(u)
+    down = [0.0j] * n  # down[i] = e_i^2 / f_{i-1}
+    f = u[0]
+    for i in range(1, n):
+        down[i] = e2[i - 1] / f
+        f = u[i] - down[i]
+    up = 0.0j  # e_{i+1}^2 / g_{i+1}
+    total = 0.0j
+    for i in range(n - 1, -1, -1):
+        total += 1.0 / (u[i] - down[i] - up)
+        up = e2[i - 1] / (u[i] - up) if i else 0.0j
+    return complex(math.ldexp(total.real, -scale_exp),
+                   math.ldexp(total.imag, -scale_exp))
 
 
 def _divide(d, b, lo: int, budget: list, rows: bool = True):
@@ -603,4 +648,5 @@ def warm_up():
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     d, e = tridiagonalize(a)
     tridiagonal_eigenvalues(d, e, 60)
+    resolvent_trace(d, e, 1j)
     fixed_point(1j, np.array([1.0]), np.array([0.5]), 1j, 1e-10, 50)

@@ -42,7 +42,7 @@ from .limit import (LimitDistribution, SolverSettings, check_caps,
                     check_grid_points, check_x_grid, default_x_grid,
                     invert_to_distribution, solve_limit_density,
                     truncation_ladder)
-from .matrixops import Esd, gram, symmetric_eigenvalues
+from .matrixops import Esd, gram_eigenvalues, symmetric_eigenvalues
 from .metrics import StepCdf, kolmogorov_distance, levy_distance
 from .spectral import (SpectralDensity, check_tail_tol, density_from_spec,
                        filter_from_density, h_pushforward, probe_values)
@@ -344,11 +344,11 @@ def _seed_matrix(cfg: ExperimentConfig, seed: int, stream: int = 0,
 
 def _seed_esd(cfg: ExperimentConfig, seed: int, filt, save_dir=None,
               stream: int = 0, law: InnovationLaw | None = None) -> Esd:
-    # One seed's Gram eigenvalues; its matrix is cached under save_dir.
+    # One seed's eigenvalues of X^T X / N; its matrix is cached under save_dir.
     dm = _seed_matrix(cfg, seed, stream=stream, law=law, filt=filt)
     if save_dir is not None:
         write_datamatrix(dm, os.path.join(save_dir, f"seed{seed}.bin"))
-    return symmetric_eigenvalues(gram(dm.values))
+    return gram_eigenvalues(dm.values, dm.n_rows)
 
 
 def _ensemble_filter(cfg: ExperimentConfig):
@@ -500,7 +500,12 @@ def _cmd_toeplitz(cfg: ExperimentConfig, stage: str):
     # sits at the eigenvalues: exact wherever H has no atom
     h_eigs = h_pushforward(cfg.density, fs.xs)
     ko = kolmogorov_distance(fs, StepCdf(fs.xs, h_eigs, h_eigs))
-    lv = levy_distance(fs, StepCdf.from_grid(grid, hv))
+    # H through the window grid alone is off by up to a grid step, which
+    # can exceed the Levy distance; through the eigenvalues too, it has
+    # levy <= kolmogorov wherever H has no atom
+    xs, first = np.unique(np.concatenate((grid, fs.xs)), return_index=True)
+    hs = np.concatenate((hv, h_eigs))[first]
+    lv = levy_distance(fs, StepCdf.from_grid(xs, hs))
     _svg.write_overlay(
         os.path.join(stage, "toeplitz_overlay.svg"),
         [{"xs": grid, "ys": hv, "label": "transformed-density law"},

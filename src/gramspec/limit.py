@@ -18,7 +18,9 @@ pointwise off an exact antiderivative; see invert_to_distribution.
 Every accepted solve carries a residual certificate: the frequency grid is
 re-selected at a tenth of the quadrature tolerance and the residual of the
 accepted iterate must stay below the solver tolerance on that finer grid,
-otherwise the solve escalates to the finer grid and tries again.
+otherwise the solve escalates to the finer grid and tries again.  Both the
+Newton target and the certificate have a floor of a few eps |z|, the
+rounding error of the residual itself.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .spectral import (SpectralDensity, TWO_PI, _refine_points,
 _G_CAP = 1e14
 
 _DUAL_START_TOL = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 _MAX_LEVEL = 9
 
 
@@ -144,7 +147,10 @@ def _certified_level(f: SpectralDensity, c: float, target: float) -> int:
 
 def _run_start(z: complex, g, w, s0: complex, settings: SolverSettings,
                tol: float | None = None) -> tuple[complex, float, int]:
-    target = 0.5 * settings.tol if tol is None else tol
+    # rounding in z + 1/s - sum w/(s + g) alone is about eps |z|, so the
+    # default target never asks for less
+    target = max(0.5 * settings.tol, 8.0 * _EPS * abs(z)) if tol is None \
+        else tol
     s, resid, iters, status = _kernels.fixed_point(
         z, g, w, s0, target, settings.max_iter)
     if status == 1:
@@ -210,7 +216,7 @@ def _solve_under(nodes, c: float, z: complex, settings: SolverSettings,
         total_iters += it
         g_fine, w_fine = nodes(k + 1)
         resid_fine = abs(z + 1.0 / s - complex(np.sum(w_fine / (s + g_fine))))
-        if resid_fine <= settings.tol:
+        if resid_fine <= max(settings.tol, 16.0 * _EPS * abs(z)):
             s_plain = companion_inverse(s, c, z)
             if s_plain.imag <= 0:
                 raise HerglotzLoss(

@@ -4,8 +4,9 @@ Stieltjes transforms.
 The eigensolver is the package's own: Householder tridiagonalization,
 then the eigenvalues of the tridiagonal matrix by root-free implicit-shift
 QL up to order 200 and by divide and conquer above, with a 30n sweep cap
-on the QL.  Nothing here calls a library eigensolver; library routines
-appear only as independent oracles in the test suite.
+on the QL.  Gram spectra are taken at the smaller of the two orders N and
+p (gram_eigenvalues).  Nothing here calls a library eigensolver; library
+routines appear only as independent oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -105,6 +106,28 @@ def gram(x, n_rows: int | None = None) -> SymMatrix:
     return SymMatrix((arr.T @ arr) / n)
 
 
+def gram_eigenvalues(x, norm: float) -> Esd:
+    """Eigenvalues of the Gram product X^T X / norm of an N x p data matrix X.
+
+    X^T X and X X^T share their nonzero eigenvalues, so the spectrum is
+    taken at the smaller order: for p > N from X X^T / norm, with the
+    p - N eigenvalues that the order-p product adds appended as exact
+    zeros.  Either product goes to syrk on a C-contiguous operand, as in
+    gram, so it is exactly symmetric.  For p <= N and norm = N the result
+    is symmetric_eigenvalues(gram(x)), byte for byte.
+    """
+    arr = np.ascontiguousarray(_as_array(x))
+    if arr.ndim != 2:
+        raise DomainError("data matrix must be 2-d")
+    if not norm > 0:
+        raise DomainError("norm must be positive")
+    nn, pp = arr.shape
+    if pp <= nn:
+        return symmetric_eigenvalues(SymMatrix((arr.T @ arr) / norm))
+    eigs = symmetric_eigenvalues(SymMatrix((arr @ arr.T) / norm)).eigs
+    return Esd(np.concatenate((eigs, np.zeros(pp - nn))))
+
+
 def symmetrize_gram(x, n_rows: int | None = None,
                     n_cols: int | None = None) -> SymMatrix:
     """Embed X into the symmetric (N+p) x (N+p) matrix N^{-1/2} [[0, X^T], [X, 0]].
@@ -170,7 +193,7 @@ def stieltjes_empirical(e: Esd, z: complex) -> complex:
 def gram_stieltjes_identity(x, z: complex) -> tuple[complex, complex]:
     """Both sides of the Gram/symmetrized-matrix Stieltjes relation.
 
-    lhs: Stieltjes transform of gram(X) at z, via the p x p spectrum.
+    lhs: Stieltjes transform of gram(X) at z, via gram_eigenvalues.
     rhs: z^{-1/2} (n / 2p) S(√z) + (N - p)/(2 p z) with n = N + p, where S is
     the Stieltjes transform of the symmetrized matrix and √z is the
     principal branch (Im √z > 0 on the upper half-plane).
@@ -180,7 +203,7 @@ def gram_stieltjes_identity(x, z: complex) -> tuple[complex, complex]:
         raise DomainError("identity needs Im z > 0")
     arr = _as_array(x)
     nn, pp = arr.shape
-    lhs = stieltjes_empirical(symmetric_eigenvalues(gram(arr)), z)
+    lhs = stieltjes_empirical(gram_eigenvalues(arr, nn), z)
     w = np.sqrt(complex(z))  # principal branch maps C+ into the first quadrant
     s_sym = stieltjes_empirical(symmetric_eigenvalues(symmetrize_gram(arr)), w)
     n_tot = nn + pp

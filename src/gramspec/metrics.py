@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import DomainError
-from .matrixops import Esd, SymMatrix, symmetric_eigenvalues
+from .matrixops import Esd, SymMatrix, gram_eigenvalues
 
 _EDGE_TOL = 1e-9
 
@@ -195,7 +196,9 @@ def stieltjes_diff_bound(a: SymMatrix, b: SymMatrix,
     matrices of the same order.
 
     Returns (lhs, rhs) with lhs = |S_A(z) - S_B(z)| and
-    rhs = |Tr(A - B)|^{1/2} / (y^2 sqrt(n)), y = Im z.
+    rhs = |Tr(A - B)|^{1/2} / (y^2 sqrt(n)), y = Im z.  Each transform is
+    (1/n) Tr (T - zI)^{-1} of the matrix's tridiagonal form T, summed by
+    _kernels.resolvent_trace without the eigenvalues.
     """
     if a.n != b.n:
         raise DomainError("matrices must have equal order")
@@ -203,9 +206,11 @@ def stieltjes_diff_bound(a: SymMatrix, b: SymMatrix,
     y = z.imag
     if y == 0.0:
         raise DomainError("bound needs Im z != 0")
-    sa = complex(np.mean(1.0 / (symmetric_eigenvalues(a).eigs - z)))
-    sb = complex(np.mean(1.0 / (symmetric_eigenvalues(b).eigs - z)))
-    lhs = abs(sa - sb)
+    if a.n < 1:
+        raise DomainError("order must be >= 1")
+    sa, sb = (_kernels.resolvent_trace(*_kernels.tridiagonalize(m.values), z)
+              for m in (a, b))
+    lhs = abs(sa - sb) / a.n
     tr = abs(float(np.trace(a.values - b.values)))
     rhs = math.sqrt(tr) / (y * y * math.sqrt(a.n))
     return lhs, rhs
@@ -218,13 +223,16 @@ def levy_gram_bound(a, b) -> tuple[float, float]:
     For n x p arrays A and B, returns (lhs, rhs) with
     lhs = levy(F_{AA^T}, F_{BB^T})^2 and
     rhs = (sqrt(2)/n) [Tr(AA^T + BB^T) Tr((A-B)(A-B)^T)]^{1/2}.
+    The Levy metric is not scale-invariant, so the spectra are those of the
+    unnormalized products, each taken by gram_eigenvalues at order
+    min(n, p).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape != b.shape:
         raise DomainError("need two arrays of identical shape")
-    fa = StepCdf.from_esd(symmetric_eigenvalues(SymMatrix(a @ a.T)))
-    fb = StepCdf.from_esd(symmetric_eigenvalues(SymMatrix(b @ b.T)))
+    fa = StepCdf.from_esd(gram_eigenvalues(a.T, 1.0))
+    fb = StepCdf.from_esd(gram_eigenvalues(b.T, 1.0))
     lhs = levy_distance(fa, fb) ** 2
     tr_sum = float(np.sum(a * a) + np.sum(b * b))
     tr_diff = float(np.sum((a - b) ** 2))

@@ -225,6 +225,7 @@ def test_criterion_07_truncation_ladder_is_cauchy(
 def test_criterion_08_trace_inequality_suites(record_acceptance, stopwatch):
     rng = np.random.default_rng(88)
     diff_viol = 0
+    diff_cases = []
     for _ in range(1000):
         n = int(rng.integers(4, 33))
         base = rng.standard_normal((n, n))
@@ -234,26 +235,43 @@ def test_criterion_08_trace_inequality_suites(record_acceptance, stopwatch):
         b = SymMatrix(a.values + (tau / math.sqrt(n)) * np.diag(d))
         z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0))
         lhs, rhs = stieltjes_diff_bound(a, b, z)
+        diff_cases.append((a, b, z, lhs))
         if lhs > rhs:
             diff_viol += 1
     levy_viol = 0
+    levy_cases = []
     for _ in range(1000):
         n = int(rng.integers(2, 25))
         p = int(rng.integers(1, 17))
         a = rng.standard_normal((n, p))
         b = a + rng.uniform(0.0, 1.0) * rng.standard_normal((n, p))
         lhs, rhs = levy_gram_bound(a, b)
+        levy_cases.append((a, b, lhs))
         if lhs > rhs:
             levy_viol += 1
     elapsed = stopwatch.elapsed
-    ok = diff_viol == 0 and levy_viol == 0 and elapsed < 60.0
+    # outside the timed part: the left-hand sides against the eigenvalue
+    # routes, through numpy.linalg.eigvalsh
+    route_gap = 0.0
+    for a, b, z, lhs in diff_cases:
+        sa, sb = (np.mean(1.0 / (np.linalg.eigvalsh(m.values) - z))
+                  for m in (a, b))
+        route_gap = max(route_gap, abs(abs(sa - sb) - lhs))
+    for a, b, lhs in levy_cases:
+        fa, fb = (StepCdf.from_esd(gramspec.Esd(np.linalg.eigvalsh(m @ m.T)))
+                  for m in (a, b))
+        route_gap = max(route_gap, abs(levy_distance(fa, fb) ** 2 - lhs))
+    ok = (diff_viol == 0 and levy_viol == 0 and elapsed < 60.0
+          and route_gap <= 1e-12)
     record_acceptance(
         8, "trace inequality suites hold", ok,
         f"violations: transform-difference {diff_viol}/1000, "
-        f"levy-vs-trace {levy_viol}/1000; {elapsed:.1f}s")
+        f"levy-vs-trace {levy_viol}/1000; {elapsed:.1f}s; left-hand sides "
+        f"within {route_gap:.1e} of the eigenvalue routes")
     assert diff_viol == 0
     assert levy_viol == 0
     assert elapsed < 60.0
+    assert route_gap <= 1e-12
 
 
 def test_criterion_09_herglotz_and_mass_invariants(

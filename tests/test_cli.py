@@ -185,6 +185,8 @@ def test_toeplitz_run_reports_the_exact_kolmogorov_distance(
     result = json.loads(
         (_only_run_dir(tmp_path) / "manifest.json").read_text())["result"]
     assert 0.0 < result["kolmogorov"] <= 2.0 / 300
+    # H is continuous, so the exact Levy distance is at most this
+    assert 0.0 < result["levy"] <= result["kolmogorov"]
 
 
 def test_set_overrides_config_values(tmp_path, monkeypatch):
@@ -223,6 +225,32 @@ def test_gate_failure_exits_one(tmp_path, monkeypatch):
     assert manifest["pass"] is False
     assert manifest["result"]["pooled_levy"] > 1e-9
     _assert_inversion_reported(manifest["result"], 0.5)
+
+
+def test_compare_above_aspect_one_has_an_exact_atom_at_zero(tmp_path,
+                                                           monkeypatch):
+    # at c = 2 half of each spectrum is the atom at 0: taken at order N,
+    # its p - N zeros are exact, and the ESD stays within the Kolmogorov
+    # fluctuation of the limit
+    cfg = {
+        "name": "t-tall",
+        "density": {"family": "constant", "sigma2": 1.0},
+        "aspect": {"n": 200, "p": 400},
+        "seeds": [1, 2],
+        "grid": {"n_points": 64},
+        "solver": {"tol": 1e-9, "quad_tol": 1e-7},
+    }
+    assert _run(tmp_path, monkeypatch, "compare", cfg) == 0
+    run_dir = _only_run_dir(tmp_path)
+    for seed in (1, 2):
+        rows = (run_dir / f"esd_seed{seed}.csv").read_text().splitlines()[1:]
+        eigs = [float(r.split(",")[1]) for r in rows]
+        assert len(eigs) == 400
+        assert eigs[:200] == [0.0] * 200 and min(eigs[200:]) > 0.0
+    distances = (run_dir / "distances.csv").read_text().splitlines()[1:]
+    for row in distances:
+        _, levy, kolmogorov = row.split(",")
+        assert float(kolmogorov) <= 0.02 and float(levy) <= 0.02
 
 
 UNIV_CFG = {

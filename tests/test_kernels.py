@@ -145,6 +145,52 @@ def test_divide_and_conquer_matches_eigvalsh(case, monkeypatch):
                                atol=1e-13 * float(np.max(np.abs(expect))))
 
 
+# ---------------------------------------------------------------------------
+# resolvent trace against the eigenvalue route: (d, e, unit), z in units of
+# the matrix entries
+
+
+def _random_tridiagonal(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    return _tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+
+
+_RESOLVENT_CASES = {
+    "order-1": lambda: (*_tridiagonal([0.7], []), 1.0),
+    "order-1-zero": lambda: (*_tridiagonal([0.0], []), 1.0),
+    "zero-diagonal-9": lambda: (
+        *_tridiagonal(np.zeros(9),
+                      np.random.default_rng(18).standard_normal(8)), 1.0),
+    "zero-diagonal-32": lambda: (*_tridiagonal(np.zeros(32), np.ones(31)),
+                                 1.0),
+    "split-diagonal-24": lambda: (
+        *_tridiagonal(np.random.default_rng(19).standard_normal(24),
+                      np.zeros(23)), 1.0),
+    "split-at-middle-24": lambda: (*_split_at_top(24), 1.0),
+    "random-39": lambda: (*_random_tridiagonal(20, 39), 1.0),
+    "scaled-1e150": lambda: (*(1e150 * v for v in _random_tridiagonal(21, 30)),
+                             1e150),
+    "scaled-1e-150": lambda: (*(1e-150 * v
+                                for v in _random_tridiagonal(22, 30)),
+                              1e-150),
+}
+
+
+@pytest.mark.parametrize("case", list(_RESOLVENT_CASES))
+def test_resolvent_trace_matches_the_eigenvalue_route(case):
+    d, e, unit = _RESOLVENT_CASES[case]()
+    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
+    assert status == 0
+    for y in (1e-3, 0.1, 2.0):
+        for sign in (1.0, -1.0):
+            for x in (-1.3, 0.0, 0.2, 2.1):
+                z = complex(x * unit, sign * y * unit)
+                got = _kernels.resolvent_trace(d, e, z)
+                expect = complex(np.sum(1.0 / (eigs - z)))
+                assert abs(got - expect) <= 1e-12 * abs(expect), (z, got)
+                assert got.imag * sign > 0.0
+
+
 @pytest.mark.parametrize("k", [2, 40, 300])
 def test_merge_with_all_poles_equal(k):
     # D = I with a dense z: the close-pole sweep deflates all poles but

@@ -230,6 +230,16 @@ def test_long_memory_limit_has_one_edge():
     assert abs(lim.edges[0] - 0.0742) < 1e-3
 
 
+@pytest.mark.parametrize("c", [2.0, 10.0])
+def test_inversion_far_out_meets_a_residual_target_scaled_by_z(c):
+    # the grid reaches x = 2261 (c = 2) and 8158 (c = 10), where rounding
+    # in the residual, about eps |z|, exceeds the default tol / 2
+    f = gramspec.fractional_density(0.45)
+    lim = gramspec.invert_to_distribution(
+        f, c, gramspec.default_x_grid(f, c, 200))
+    assert abs(lim.total_mass - 1.0) <= 1e-3
+
+
 def test_default_x_grid_covers_support():
     # c <= 0.1 is where the lower MP edge of a flat density passes top/16
     f = gramspec.constant_density(1.0)

@@ -68,6 +68,47 @@ def test_gram_is_exactly_symmetric_and_keeps_the_triangle_pass_bytes():
             assert float(np.max(np.abs(g - ref))) <= 1e-14 * ref.max()
 
 
+def _rank_deficient(n: int, p: int, r: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    return rng.standard_normal((n, r)) @ rng.standard_normal((r, p))
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(8).standard_normal((40, 25)),
+    np.random.default_rng(9).standard_normal((30, 30)),
+    _rank_deficient(20, 12, 5),
+    np.random.default_rng(10).standard_normal((25, 40)),
+    np.random.default_rng(11).standard_normal((1, 9)),
+    _rank_deficient(12, 30, 5),
+], ids=["40x25", "30x30", "rank5-20x12", "25x40", "1x9", "rank5-12x30"])
+@pytest.mark.parametrize("norm", [None, 1.0])
+def test_gram_eigenvalues_come_from_the_smaller_gram(x, norm):
+    nn, pp = x.shape
+    norm = nn if norm is None else norm
+    got = gramspec.gram_eigenvalues(x, norm).eigs
+    assert got.size == pp
+    if pp <= nn:
+        # the order-p product itself; for norm = N, the route of gram
+        prod = gramspec.gram(x) if norm == nn \
+            else gramspec.SymMatrix((x.T @ x) / norm)
+        ref = gramspec.symmetric_eigenvalues(prod).eigs
+        assert got.tobytes() == ref.tobytes()
+        return
+    # the order-p product has p - N zero eigenvalues, here exact
+    assert int(np.sum(got == 0.0)) == pp - nn
+    assert not np.signbit(got[got == 0.0]).any()
+    expect = np.linalg.eigvalsh(x.T @ x / norm)
+    np.testing.assert_allclose(got, expect, rtol=0.0,
+                               atol=1e-12 * float(expect[-1]))
+
+
+def test_gram_eigenvalues_validate():
+    with pytest.raises(DomainError):
+        gramspec.gram_eigenvalues(np.ones(4), 1.0)
+    with pytest.raises(DomainError):
+        gramspec.gram_eigenvalues(np.ones((2, 3)), 0.0)
+
+
 def test_symmatrix_of_a_symmetric_array_is_a_normalised_copy():
     a = np.array([[2.0, -0.0, 1.5], [0.0, -0.0, -3.0], [1.5, -3.0, 1e300]])
     m = gramspec.SymMatrix(a)
