@@ -13,11 +13,21 @@ state (the row's key, counter 0, empty buffers), which draws exactly the
 stream ``row_rng`` gives that row.
 
 Linear-process rows are convolved by FFT on every core the process may
-use, up to 16: the rows are split into one contiguous block per thread,
-and each thread walks its block through three buffers of at most
-_THREAD_SLOTS float slots, allocated once; innovations are drawn straight
-into the first.  Each row is drawn from its own substream and transformed
-on its own, so the bytes equal those of a one-thread run.
+use, up to _MAX_THREADS (16): the rows are split into one contiguous block
+per thread, and each thread walks its block in batches of rows through
+three buffers (innovations, their spectrum, the convolution), allocated
+once; innovations are drawn straight into the first.  A batch is a
+multiple of 4 rows, as many as fit in about 2**16 float slots per buffer,
+because numpy's FFT costs the same per row from 4 rows up and more below;
+when 4 rows would pass 2**18 slots, a batch is as many rows as fit in
+2**18, at least one.  At the long-memory filter's FFT length 8640 that is
+4 rows, 0.8 MiB per thread.  Each row is drawn from its own substream and transformed on its
+own, so the bytes equal those of a one-thread run with any batch size.
+
+The ``budget`` of every generator counts float64 slots held at the peak:
+for linear-process rows the output plus the batch buffers of up to 16
+threads (charged at the cap, so whether a run fits does not depend on the
+host).
 """
 
 from __future__ import annotations
@@ -38,9 +48,14 @@ from .spectral import (LinearFilter, SpectralDensity, covariance_sequence,
 
 # Default generation budget, in float64 slots (1 GiB).
 DEFAULT_BUDGET = 2 ** 27
-# Float64 slots in each of a generation thread's three buffers (innovations,
-# their spectrum, the convolution): 30 rows at nfft = 8640.
+# Rows per FFT batch come in groups of _ROW_GROUP, filling about
+# _BATCH_SLOTS float64 slots in each of a thread's three buffers; a row too
+# long for a group gets as many rows as fit in _THREAD_SLOTS, at least one.
+_ROW_GROUP = 4
+_BATCH_SLOTS = 2 ** 16
 _THREAD_SLOTS = 2 ** 18
+# Generation threads, whatever the core count.
+_MAX_THREADS = 16
 
 _MAGIC = b"GSPC"
 _VERSION = 1
@@ -205,12 +220,33 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-def _check_budget(n_rows: int, n_cols: int, filt_len: int, budget: int) -> None:
-    need = n_rows * (n_cols + filt_len)
+def _check_budget(need: int, held: str, budget: int) -> None:
+    # need counts the float64 slots generation holds at its peak; held
+    # names them for the message.
     if need > budget:
         raise MemoryBudgetError(
-            f"generation needs {need} float slots but the budget is {budget}; "
-            "raise the budget or shrink the run")
+            f"generation needs {need} float64 slots ({held}) but the budget "
+            f"is {budget}; raise the budget or shrink the run")
+
+
+def _batch_rows(nfft: int) -> int:
+    # Rows per FFT batch at transform length nfft: whole groups of
+    # _ROW_GROUP rows in about _BATCH_SLOTS slots, or, when one group would
+    # pass _THREAD_SLOTS, as many rows as fit in it.  4 rows at 8640, 56 at
+    # 1152; a buffer never holds more than _THREAD_SLOTS slots unless one
+    # row does.
+    if _ROW_GROUP * nfft <= _THREAD_SLOTS:
+        return _ROW_GROUP * max(1, _BATCH_SLOTS // (_ROW_GROUP * nfft))
+    return max(1, _THREAD_SLOTS // nfft)
+
+
+def _linear_slots(n_rows: int, n_cols: int, flen: int) -> int:
+    # The output plus every thread's three batch buffers, at the thread cap
+    # so the count does not depend on the host.
+    nfft = _smooth_length(n_cols + flen - 1)
+    threads = min(n_rows, _MAX_THREADS)
+    rows = min(_batch_rows(nfft), -(-n_rows // threads))
+    return n_rows * n_cols + threads * 3 * rows * nfft
 
 
 def _smooth_length(m: int) -> int:
@@ -251,7 +287,7 @@ def _linear_values(filt: LinearFilter, law: InnovationLaw, n_rows: int,
     out = np.empty((n_rows, n_cols))
 
     def fill(lo, hi):
-        rows = max(1, min(hi - lo, _THREAD_SLOTS // nfft))
+        rows = min(hi - lo, _batch_rows(nfft))
         eps = np.zeros((rows, nfft))  # columns m.. stay zero
         spec = np.empty((rows, nfft // 2 + 1), dtype=complex)
         conv = np.empty((rows, nfft))
@@ -265,12 +301,13 @@ def _linear_values(filt: LinearFilter, law: InnovationLaw, n_rows: int,
             np.fft.irfft(spec[:k], nfft, axis=1, out=conv[:k])
             out[c0:c0 + k] = conv[:k, flen - 1:m]
 
-    # One contiguous block per core, at most 16 threads, so all threads'
-    # buffers together hold at most 3 * 2**22 slots, whatever the host.
-    # Leaving the pool waits for every block; the first failing block, in
-    # block order, re-raises in the caller.
+    # One contiguous block per core, at most _MAX_THREADS threads, each
+    # holding 3 * rows * nfft buffer slots: at nfft = 8640, 4 rows, 0.8 MiB
+    # per thread and 13 MiB at the cap, whatever the host.  Leaving the pool
+    # waits for every block; the first failing block, in block order,
+    # re-raises in the caller.
     from concurrent.futures import ThreadPoolExecutor
-    parts = min(_core_count(), n_rows, (1 << 22) // _THREAD_SLOTS)
+    parts = min(_core_count(), n_rows, _MAX_THREADS)
     bounds = [n_rows * j // parts for j in range(parts + 1)]
     with ThreadPoolExecutor(parts) as pool:
         list(pool.map(fill, bounds[:-1], bounds[1:]))
@@ -283,7 +320,9 @@ def generate_linear_rows(filt: LinearFilter, law: InnovationLaw, n_rows: int,
     """Rows are independent copies of the linear process defined by filt."""
     if n_rows < 1 or n_cols < 1:
         raise DomainError("matrix dimensions must be positive")
-    _check_budget(n_rows, n_cols, filt.coeffs.size, budget)
+    _check_budget(_linear_slots(n_rows, n_cols, filt.coeffs.size),
+                  f"{n_rows}x{n_cols} rows plus the FFT batch buffers of "
+                  f"up to {_MAX_THREADS} threads", budget)
     vals = _linear_values(filt, law, n_rows, n_cols, seed, stream)
     src = (f"linear|off={filt.offset}|coef={_digest(filt.coeffs)}"
            f"|law={law.describe()}|N={n_rows}|p={n_cols}"
@@ -324,7 +363,9 @@ def generate_toeplitz_gaussian_rows(f: SpectralDensity, n_rows: int,
     """
     if n_rows < 1 or n_cols < 1:
         raise DomainError("matrix dimensions must be positive")
-    _check_budget(n_rows, n_cols, n_cols, budget)
+    _check_budget(n_rows * 2 * n_cols + n_cols * n_cols,
+                  f"{n_rows}x{n_cols} normals and rows plus the "
+                  f"{n_cols}x{n_cols} root", budget)
     root = _psd_root(f, n_cols)
     z = np.empty((n_rows, n_cols))
     at = _row_streams(seed, stream)
@@ -363,9 +404,14 @@ def generate_stationary_lower_triangle(filt: LinearFilter, law: InnovationLaw,
     """
     if n < 1:
         raise DomainError("order must be >= 1")
-    _check_budget(n, n, filt.coeffs.size, budget)
+    # a boolean mask (n*n bytes) picks the triangle in row-major order
+    # without the two int64 index arrays of np.tril_indices
+    _check_budget(_linear_slots(n, n, filt.coeffs.size) + n * n // 8
+                  + n * (n + 1) // 2,
+                  f"{n}x{n} rows, their lower triangle and its mask, and the "
+                  f"FFT batch buffers of up to {_MAX_THREADS} threads", budget)
     vals = _linear_values(filt, law, n, n, seed, stream)
-    return vals[np.tril_indices(n)].copy()
+    return vals[np.tri(n, dtype=bool)]
 
 
 def _digest(arr: np.ndarray) -> str:

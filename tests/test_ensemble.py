@@ -198,11 +198,11 @@ def test_generate_lower_triangle_rows_are_process_copies():
 @pytest.mark.parametrize("n_rows", [1, 7, 13])
 def test_generation_bytes_do_not_depend_on_the_core_count(monkeypatch,
                                                          n_rows):
-    # row counts below the core count and ones that do not split evenly;
-    # four-row buffers give the larger blocks several sub-chunks
+    # row counts below the core count and ones that do not split evenly,
+    # through FFT batches of 1, 3, 4 and 8 rows at nfft = 32, which give the
+    # larger blocks several sub-chunks and a short last one
     filt = gramspec.LinearFilter(
         2, np.random.default_rng(n_rows).standard_normal(5))
-    monkeypatch.setattr(ensemble, "_THREAD_SLOTS", 4 * 32)
 
     def run():
         rows = [gramspec.generate_linear_rows(filt, LAWS[name](), n_rows, 27,
@@ -216,9 +216,16 @@ def test_generation_bytes_do_not_depend_on_the_core_count(monkeypatch,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads interleave as often as they can
     try:
-        for cores in (1, 2, 3, 5):
-            monkeypatch.setattr(ensemble, "_core_count", lambda c=cores: c)
-            results.append(run())
+        for batch, thread_slots, batch_slots in ((1, 32, 32), (3, 96, 96),
+                                                 (4, 128, 128),
+                                                 (8, 256, 256)):
+            monkeypatch.setattr(ensemble, "_THREAD_SLOTS", thread_slots)
+            monkeypatch.setattr(ensemble, "_BATCH_SLOTS", batch_slots)
+            assert ensemble._batch_rows(32) == batch
+            for cores in (1, 2, 3, 5):
+                monkeypatch.setattr(ensemble, "_core_count",
+                                    lambda c=cores: c)
+                results.append(run())
     finally:
         sys.setswitchinterval(interval)
     assert all(r == results[0] for r in results[1:])
@@ -265,7 +272,8 @@ def test_generation_draws_each_row_from_its_row_rng_stream(monkeypatch, name):
         return out
 
     monkeypatch.setattr(ensemble, "_core_count", lambda: 3)
-    monkeypatch.setattr(ensemble, "_THREAD_SLOTS", 2 * 12)  # 2 rows, nfft 12
+    monkeypatch.setattr(ensemble, "_THREAD_SLOTS", 2 * 12)
+    assert ensemble._batch_rows(12) == 2  # nfft = 12, blocks of 3 and 4 rows
     monkeypatch.setattr(ensemble.InnovationLaw, "sample", sample)
     gramspec.generate_linear_rows(filt, law, n_rows, n_cols, seed,
                                   stream=stream)
@@ -353,21 +361,34 @@ def test_import_loads_no_thread_pool():
     assert done.stdout.strip() == "False"
 
 
-def test_generation_peak_allocation_is_bounded(monkeypatch):
-    # the long-memory filter of the compare workload: K = 4096, nfft = 8640;
-    # each thread holds three fixed buffers, whatever the row count
+def _compare_filter():
+    # the long-memory filter of the compare workload: K = 4096, nfft = 8640,
+    # where a batch is 4 rows
     f = gramspec.density_from_spec({"family": "fractional", "d": 0.3})
     filt = gramspec.filter_from_density(f, tail_tol=5e-3)
     assert filt.coeffs.size == 8193
-    monkeypatch.setattr(ensemble, "_core_count", lambda: 2)
-    tracemalloc.start()
-    try:
-        dm = gramspec.generate_linear_rows(filt, gramspec.gaussian_law(),
-                                           800, 400, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= dm.values.nbytes + 16 * 10 ** 6
+    assert ensemble._smooth_length(400 + 8192) == 8640
+    assert ensemble._batch_rows(8640) == 4
+    return filt
+
+
+def test_generation_peak_allocation_is_bounded(monkeypatch):
+    # beyond the output, each thread holds three buffers of 4 rows x 8640
+    # slots (0.8 MiB), whatever the row count; a first generation is run
+    # untraced so the thread pool and generator-state imports stay out
+    filt = _compare_filter()
+    law = gramspec.gaussian_law()
+    per_thread = 3 * 4 * 8640 * 8
+    for cores in (2, 16):
+        monkeypatch.setattr(ensemble, "_core_count", lambda c=cores: c)
+        gramspec.generate_linear_rows(filt, law, cores, 400, seed=1)
+        tracemalloc.start()
+        try:
+            dm = gramspec.generate_linear_rows(filt, law, 800, 400, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dm.values.nbytes + cores * per_thread + 2 ** 20, cores
 
 
 def test_memory_budget_enforced():
@@ -375,6 +396,42 @@ def test_memory_budget_enforced():
     with pytest.raises(MemoryBudgetError):
         gramspec.generate_linear_rows(filt, gramspec.gaussian_law(),
                                       1000, 1000, seed=1, budget=1024)
+
+
+def test_memory_budget_counts_the_output_and_batch_buffers():
+    # 800x400 rows through the 8193-tap filter hold 320,000 output slots
+    # plus 16 threads x 3 buffers x 4 rows x 8640 slots, far below the
+    # 800 x (400 + 8193) slots of a whole filter's length per row
+    filt = _compare_filter()
+    law = gramspec.gaussian_law()
+    need = 800 * 400 + 16 * 3 * 4 * 8640
+    assert need < 800 * (400 + 8193)
+    dm = gramspec.generate_linear_rows(filt, law, 800, 400, seed=1,
+                                       budget=need)
+    assert dm.values.shape == (800, 400)
+    with pytest.raises(MemoryBudgetError, match=f"needs {need} float64"):
+        gramspec.generate_linear_rows(filt, law, 800, 400, seed=1,
+                                      budget=need - 1)
+
+
+def test_memory_budget_counts_each_generator_at_its_peak():
+    # Toeplitz rows hold the normals, the rows and the p x p root; the
+    # lower triangle holds the n x n rows, their triangle, its n x n byte
+    # mask and one row per thread's buffers (nfft = 15 for n = 12, 2 taps)
+    f = gramspec.ar1_density(0.5, 1.0)
+    need = 10 * 2 * 20 + 20 * 20
+    gramspec.generate_toeplitz_gaussian_rows(f, 10, 20, seed=1, budget=need)
+    with pytest.raises(MemoryBudgetError, match=f"needs {need} float64"):
+        gramspec.generate_toeplitz_gaussian_rows(f, 10, 20, seed=1,
+                                                 budget=need - 1)
+    filt = gramspec.LinearFilter(0, np.array([1.0, 0.5]))
+    law = gramspec.gaussian_law()
+    need = 12 * 12 + 12 * 13 // 2 + 12 * 12 // 8 + 12 * 3 * 1 * 15
+    gramspec.generate_stationary_lower_triangle(filt, law, 12, seed=1,
+                                                budget=need)
+    with pytest.raises(MemoryBudgetError, match=f"needs {need} float64"):
+        gramspec.generate_stationary_lower_triangle(filt, law, 12, seed=1,
+                                                    budget=need - 1)
 
 
 # ---------------------------------------------------------------------------
