@@ -8,7 +8,8 @@ where it is the faster of the two, and by divide and conquer above, whose
 merges solve all their secular equation roots at once in numpy; the trace
 of the tridiagonal resolvent, ``resolvent_trace``, by pivots in O(n); and
 ``fixed_point``, the safeguarded Newton iteration that solves the limiting
-equation.
+equation.  The eigenvalue routines raise EigenNonConvergence themselves
+when an iteration hits its cap.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import EigenNonConvergence
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -105,53 +108,57 @@ _LEAF = 32
 _CHUNK = 128
 # Iteration cap of one secular root, as in LAPACK dlaed4.
 _SECULAR_MAXIT = 30
+# QL sweeps allowed per row of the matrix: an order-n matrix, or the leaves
+# of its divide and conquer together, get _SWEEPS_PER_ROW * n.
+_SWEEPS_PER_ROW = 30
 
 
-class _Capped(Exception):
-    """An iteration hit its cap; status is the tridiagonal_eigenvalues code."""
+def _unit_scaled(d, e, z: complex = 0.0):
+    """The diagonal d and the off-diagonals e[1:] scaled, exactly, by the
+    power of two 2^-k that brings the largest of their magnitudes and |z|
+    to unit size, so no square overflows and only entries far below eps
+    times that size can underflow; returns (d, e[1:], k)."""
+    d = np.asarray(d, dtype=np.float64)
+    b = np.asarray(e, dtype=np.float64)[1:]
+    top = max(float(np.max(np.abs(d))), float(np.max(np.abs(b), initial=0.0)),
+              abs(z))
+    k = math.frexp(top)[1]
+    return np.ldexp(d, -k), np.ldexp(b, -k), k
 
-    def __init__(self, status: int):
-        super().__init__(status)
-        self.status = status
+
+def _sweep_cap(index: int) -> EigenNonConvergence:
+    return EigenNonConvergence(
+        f"implicit-shift QL exceeded the sweep cap of {_SWEEPS_PER_ROW} "
+        f"sweeps per row while deflating eigenvalue index {index}", index)
 
 
-def tridiagonal_eigenvalues(d, e, cap: int):
+def tridiagonal_eigenvalues(d, e) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal matrix (d, e), sorted.
 
-    The matrix is first scaled by a power of two to unit size, exactly, so
-    no square overflows and only entries far below eps times the norm can
-    underflow.  Up to order _QL_MAX the eigenvalues come from implicit-shift
-    QL in the root-free form of Pal, Walker and Kahan (LAPACK dsterf): it
-    runs on the squared off-diagonals, so a rotation needs no square root.
+    The matrix is first scaled to unit size by _unit_scaled.  Up to order
+    _QL_MAX the eigenvalues come from implicit-shift QL in the root-free
+    form of Pal, Walker and Kahan (LAPACK dsterf): it runs on the squared
+    off-diagonals, so a rotation needs no square root.
     The shift is the eigenvalue of the leading 2x2 block nearer d[l]; row l
     deflates once e[l]^2 <= eps^2 (|d[l]| + |d[l+1]|)^2, the test of
     EISPACK tql1.  The loop runs on Python floats, where indexing costs far
     less than on numpy scalars.  Larger orders go to the divide and conquer
-    of _divide, whose leaves share the budget of cap sweeps.
+    of _divide, whose leaves share one budget of sweeps.
 
-    Returns (eigenvalues, status): status is 0; or k + 1 when the total
-    sweep count exceeded cap while the eigenvalue in row k was being
-    deflated; or -(k + 1) when a secular root did not converge in
-    _SECULAR_MAXIT iterations, k = lo + i for root i of the merge of the
-    rows from lo on.  The eigenvalues are NaN when the divide and conquer
-    fails.
+    Raises EigenNonConvergence when the sweeps exceed _SWEEPS_PER_ROW * n,
+    with the index k of the row whose eigenvalue was being deflated, or
+    when a secular root of the divide and conquer does not converge in
+    _SECULAR_MAXIT iterations, with k = lo + i for root i of the merge of
+    the rows from lo on.
     """
-    d = np.asarray(d, dtype=np.float64)
-    b = np.asarray(e, dtype=np.float64)[1:]
-    top = max(float(np.max(np.abs(d))), float(np.max(np.abs(b), initial=0.0)))
-    scale_exp = math.frexp(top)[1]
+    d, b, scale_exp = _unit_scaled(d, e)
     n = d.size
+    cap = _SWEEPS_PER_ROW * n
     if n > _QL_MAX:
         # the signs of the off-diagonals do not change the spectrum
-        try:
-            eigs = _divide(np.ldexp(d, -scale_exp),
-                           np.abs(np.ldexp(b, -scale_exp)), 0, [cap],
-                           rows=False)[0]
-        except _Capped as failed:
-            return np.full(n, np.nan), failed.status
-        return np.ldexp(eigs, scale_exp), 0
-    d = np.ldexp(d, -scale_exp).tolist()
-    b = np.ldexp(b, -scale_exp)
+        eigs = _divide(d, np.abs(b), 0, [cap], rows=False)[0]
+        return np.ldexp(eigs, scale_exp)
+    d = d.tolist()
     e2 = (b * b).tolist() + [0.0]
     eps2 = _EPS * _EPS
     total = 0
@@ -167,7 +174,7 @@ def tridiagonal_eigenvalues(d, e, cap: int):
                 break
             total += 1
             if total > cap:
-                return np.ldexp(np.sort(d), scale_exp), l + 1
+                raise _sweep_cap(l)
             e2[m] = 0.0
             rte = math.sqrt(e2[l])
             sigma = (d[l + 1] - d[l]) / (2.0 * rte)
@@ -191,15 +198,14 @@ def tridiagonal_eigenvalues(d, e, cap: int):
                 p = gamma * gamma / c if c != 0.0 else oldc * bb
             e2[l] = s * p
             d[l] = sigma + gamma
-    return np.ldexp(np.sort(d), scale_exp), 0
+    return np.ldexp(np.sort(d), scale_exp)
 
 
 def resolvent_trace(d, e, z: complex) -> complex:
     """Tr (T - zI)^{-1} = sum_i 1/(lambda_i - z) of the symmetric
     tridiagonal matrix T = (d, e), for Im z != 0, in O(n).
 
-    T and z are first scaled by a power of two to unit size, as in
-    tridiagonal_eigenvalues, with |z| counted in the size.
+    T and z are first scaled to unit size by _unit_scaled.
     With u_i = d_i - z, the forward pivots f_0 = u_0,
     f_i = u_i - e_i^2 / f_{i-1} of the LDL^T factorization of T - zI and
     the backward ones g_{n-1} = u_{n-1}, g_i = u_i - e_{i+1}^2 / g_{i+1} of
@@ -211,15 +217,10 @@ def resolvent_trace(d, e, z: complex) -> complex:
     loops run on Python complex floats.
     """
     z = complex(z)
-    d = np.asarray(d, dtype=np.float64)
-    b = np.asarray(e, dtype=np.float64)[1:]
-    top = max(float(np.max(np.abs(d))), float(np.max(np.abs(b), initial=0.0)),
-              abs(z))
-    scale_exp = math.frexp(top)[1]
+    d, b, scale_exp = _unit_scaled(d, e, z)
     zs = complex(math.ldexp(z.real, -scale_exp),
                  math.ldexp(z.imag, -scale_exp))
-    u = [x - zs for x in np.ldexp(d, -scale_exp).tolist()]
-    b = np.ldexp(b, -scale_exp)
+    u = [x - zs for x in d.tolist()]
     e2 = (b * b).tolist()
     n = len(u)
     down = [0.0j] * n  # down[i] = e_i^2 / f_{i-1}
@@ -295,7 +296,7 @@ def _leaf(d, b, lo: int, budget: list):
                 break
             budget[0] -= 1
             if budget[0] < 0:
-                raise _Capped(lo + l + 1)
+                raise _sweep_cap(lo + l)
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + (r if g >= 0.0 else -r))
@@ -456,8 +457,8 @@ def _secular(d, z, rho: float, rows, lo: int):
 
 def _secular_roots(d, z2, rho, a, width, c0, lo):
     """Origins and taus of the roots c0, c0 + 1, ... of _secular's
-    equation, one per entry of a; raises _Capped(-(lo + i + 1)) if root i
-    is still unconverged after _SECULAR_MAXIT steps."""
+    equation, one per entry of a; raises EigenNonConvergence for index
+    lo + i if root i is still unconverged after _SECULAR_MAXIT steps."""
     m = a.size
     b = a + 1
     # only the last root has a = i - 1; it is the chunk's last
@@ -520,7 +521,11 @@ def _secular_roots(d, z2, rho, a, width, c0, lo):
         if done.all():
             return org, out
         if it == _SECULAR_MAXIT:
-            raise _Capped(-(lo + c0 + int(act[np.argmin(done)]) + 1))
+            k = lo + c0 + int(act[np.argmin(done)])
+            raise EigenNonConvergence(
+                f"divide and conquer: the secular equation root for "
+                f"eigenvalue index {k} did not converge in {_SECULAR_MAXIT} "
+                f"iterations", k)
         if done.any():  # drop the converged roots
             keep = ~done
             has_last = has_last and keep[-1]
@@ -647,6 +652,6 @@ def warm_up():
     outside timed work."""
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     d, e = tridiagonalize(a)
-    tridiagonal_eigenvalues(d, e, 60)
+    tridiagonal_eigenvalues(d, e)
     resolvent_trace(d, e, 1j)
     fixed_point(1j, np.array([1.0]), np.array([0.5]), 1j, 1e-10, 50)

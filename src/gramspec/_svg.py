@@ -21,10 +21,11 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    # about six ticks at 1, 2 or 5 times a power of ten apart
     if not hi > lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if mult * mag >= raw:
@@ -52,15 +53,14 @@ def _staircase(xs: np.ndarray, ys: np.ndarray):
 def write_overlay(path, curves, *, title: str, x_label: str,
                   y_label: str) -> None:
     """curves: iterable of dicts with keys xs, ys, label and optional
-    kind ('line' | 'step') and color."""
+    kind ('line' | 'step'); colours follow _PALETTE in order."""
     prepared = []
     for i, cv in enumerate(curves):
         xs = np.asarray(cv["xs"], dtype=float)
         ys = np.asarray(cv["ys"], dtype=float)
         if cv.get("kind", "line") == "step":
             xs, ys = _staircase(xs, ys)
-        color = cv.get("color", _PALETTE[i % len(_PALETTE)])
-        prepared.append((xs, ys, cv["label"], color))
+        prepared.append((xs, ys, cv["label"], _PALETTE[i % len(_PALETTE)]))
     x_lo = min(float(np.min(c[0])) for c in prepared)
     x_hi = max(float(np.max(c[0])) for c in prepared)
     y_lo = min(0.0, min(float(np.min(c[1])) for c in prepared))

@@ -171,11 +171,10 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
 
     def _solver():
         s = raw.get("solver", {})
-        extra = set(s) - {"tol", "max_iter", "quad_tol"}
+        extra = set(s) - {"tol", "quad_tol"}
         if extra:
             raise ValueError(f"unknown solver keys {sorted(extra)}")
         return SolverSettings(tol=float(s.get("tol", 1e-12)),
-                              max_iter=int(s.get("max_iter", 10_000)),
                               quad_tol=float(s.get("quad_tol", 1e-10)))
     solver = grab(_solver, "bad 'solver'") or SolverSettings()
 

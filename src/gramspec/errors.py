@@ -18,7 +18,7 @@ class TailToleranceUnreachable(GramspecError, RuntimeError):
 
 
 class NonConvergence(GramspecError, RuntimeError):
-    """The Newton solve exhausted max_iter without meeting the residual tolerance."""
+    """The Newton solve hit its iteration cap before meeting the residual tolerance."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -34,10 +34,13 @@ class UniquenessError(GramspecError, RuntimeError):
 
 
 class EigenNonConvergence(GramspecError, RuntimeError):
-    """An eigenvalue iteration exceeded its cap: the QL sweeps, or a
-    secular equation root in divide and conquer.
+    """An eigenvalue iteration of _kernels.tridiagonal_eigenvalues exceeded
+    its cap: the QL sweeps (_SWEEPS_PER_ROW per row of the matrix), or the
+    steps of one secular equation root in divide and conquer
+    (_SECULAR_MAXIT).
 
-    ``index`` is the eigenvalue position that failed to converge.
+    ``index`` is the eigenvalue position that failed to converge; the
+    message names the cap that was hit.
     """
 
     def __init__(self, message: str, index: int):

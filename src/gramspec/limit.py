@@ -36,8 +36,8 @@ import numpy as np
 from . import _kernels, quadrature
 from .errors import (DomainError, HerglotzLoss, NonConvergence,
                      QuadratureError, UniquenessError)
-from .spectral import (SpectralDensity, TWO_PI, _refine_points,
-                       _singular_in_half, density_values, probe_values)
+from .spectral import (SpectralDensity, TWO_PI, _marks, _singular_in_half,
+                       density_values, probe_values)
 
 # Reciprocal transformed-density values above this are treated as infinite
 # bins; the induced integral error is ~ c / _G_CAP, far below certificates.
@@ -46,21 +46,23 @@ _G_CAP = 1e14
 _DUAL_START_TOL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 _MAX_LEVEL = 9
+# Newton iterations one start may take before NonConvergence.
+_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs for the Newton solver and its quadrature layer."""
+    """Tolerances of the solver: tol, the Newton residual each accepted
+    solve must meet; quad_tol, that of the frequency grid, certified at
+    min(quad_tol, tol / 4) (_level).  Each start may take _MAX_ITER Newton
+    iterations."""
 
     tol: float = 1e-12
-    max_iter: int = 10_000
     quad_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.tol > 0:
             raise DomainError("tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
         if not self.quad_tol > 0:
             raise DomainError("quad_tol must be positive")
 
@@ -89,8 +91,7 @@ def companion_inverse(s_under: complex, c: float, z: complex) -> complex:
 
 @lru_cache(maxsize=64)
 def _nodes(f: SpectralDensity, level: int):
-    marks = tuple(sorted(set(_singular_in_half(f)) | set(_refine_points(f))))
-    edges = quadrature.build_edges(0.0, math.pi, singular=marks,
+    edges = quadrature.build_edges(0.0, math.pi, singular=_marks(f),
                                    base=64 * 2**level)
     lam, w = quadrature.gauss_nodes(edges, order=12)
     fv = density_values(f, lam)
@@ -152,11 +153,11 @@ def _run_start(z: complex, g, w, s0: complex, settings: SolverSettings,
     target = max(0.5 * settings.tol, 8.0 * _EPS * abs(z)) if tol is None \
         else tol
     s, resid, iters, status = _kernels.fixed_point(
-        z, g, w, s0, target, settings.max_iter)
+        z, g, w, s0, target, _MAX_ITER)
     if status == 1:
         raise NonConvergence(
             f"Newton solve at z={z!r} still has residual {resid:.3e} after "
-            f"{settings.max_iter} iterations", resid)
+            f"{_MAX_ITER} iterations", resid)
     if status == 2:
         raise HerglotzLoss(
             f"iterate collapsed onto the real axis at z={z!r}")

@@ -3,10 +3,11 @@ Stieltjes transforms.
 
 The eigensolver is the package's own: Householder tridiagonalization,
 then the eigenvalues of the tridiagonal matrix by root-free implicit-shift
-QL up to order 200 and by divide and conquer above, with a 30n sweep cap
-on the QL.  Gram spectra are taken at the smaller of the two orders N and
-p (gram_eigenvalues).  Nothing here calls a library eigensolver; library
-routines appear only as independent oracles in the test suite.
+QL up to order 200 and by divide and conquer above (_kernels), which raise
+EigenNonConvergence themselves at their iteration caps.  Gram spectra are
+taken at the smaller of the two orders N and p (gram_eigenvalues).  Nothing
+here calls a library eigensolver; library routines appear only as
+independent oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, EigenNonConvergence
+from .errors import DomainError
 
 # Desk-scale cap on dense eigendecompositions.
 MAX_ORDER = 4096
@@ -52,9 +53,6 @@ class SymMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.values))
-
 
 @dataclass(frozen=True, eq=False)
 class Esd:
@@ -70,9 +68,6 @@ class Esd:
     @property
     def n(self) -> int:
         return self.eigs.size
-
-    def cdf(self, x) -> np.ndarray | float:
-        return esd_cdf(self, x)
 
 
 def symmetric_from_lower(x, n: int) -> SymMatrix:
@@ -90,46 +85,45 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-def gram(x, n_rows: int | None = None) -> SymMatrix:
-    """Sample covariance (1/N) X^T X of an N x p data matrix.
+def gram(x, norm: float | None = None) -> SymMatrix:
+    """Sample covariance X^T X / norm of an N x p data matrix, norm = N by
+    default.
 
-    The operand is made C-contiguous first, so that X^T X goes to BLAS
-    syrk, which writes one triangle and mirrors it: the product is exactly
-    symmetric and SymMatrix takes it as it is.
+    X^T X goes to BLAS syrk, which writes one triangle and mirrors it, so
+    the product is exactly symmetric and SymMatrix takes it as it is.  syrk
+    needs an operand stored in one piece: a C- or Fortran-ordered X is used
+    as it is (X^T of a C-ordered matrix is Fortran-ordered), any other is
+    made C-contiguous first.
     """
-    arr = np.ascontiguousarray(_as_array(x))
+    arr = _as_array(x)
     if arr.ndim != 2:
         raise DomainError("data matrix must be 2-d")
-    n = arr.shape[0] if n_rows is None else int(n_rows)
-    if n != arr.shape[0]:
-        raise DomainError("n_rows must equal the row count")
-    return SymMatrix((arr.T @ arr) / n)
+    if not arr.flags.f_contiguous:
+        arr = np.ascontiguousarray(arr)
+    norm = arr.shape[0] if norm is None else norm
+    if not norm > 0:
+        raise DomainError("norm must be positive")
+    return SymMatrix((arr.T @ arr) / norm)
 
 
 def gram_eigenvalues(x, norm: float) -> Esd:
     """Eigenvalues of the Gram product X^T X / norm of an N x p data matrix X.
 
     X^T X and X X^T share their nonzero eigenvalues, so the spectrum is
-    taken at the smaller order: for p > N from X X^T / norm, with the
+    taken at the smaller order: for p > N from gram(X^T, norm), with the
     p - N eigenvalues that the order-p product adds appended as exact
-    zeros.  Either product goes to syrk on a C-contiguous operand, as in
-    gram, so it is exactly symmetric.  For p <= N and norm = N the result
-    is symmetric_eigenvalues(gram(x)), byte for byte.
+    zeros.  For p <= N and norm = N the result is
+    symmetric_eigenvalues(gram(x)), byte for byte.
     """
-    arr = np.ascontiguousarray(_as_array(x))
-    if arr.ndim != 2:
-        raise DomainError("data matrix must be 2-d")
-    if not norm > 0:
-        raise DomainError("norm must be positive")
+    arr = _as_array(x)
+    if arr.ndim != 2 or arr.shape[1] <= arr.shape[0]:
+        return symmetric_eigenvalues(gram(arr, norm))  # gram checks the shape
     nn, pp = arr.shape
-    if pp <= nn:
-        return symmetric_eigenvalues(SymMatrix((arr.T @ arr) / norm))
-    eigs = symmetric_eigenvalues(SymMatrix((arr @ arr.T) / norm)).eigs
+    eigs = symmetric_eigenvalues(gram(arr.T, norm)).eigs
     return Esd(np.concatenate((eigs, np.zeros(pp - nn))))
 
 
-def symmetrize_gram(x, n_rows: int | None = None,
-                    n_cols: int | None = None) -> SymMatrix:
+def symmetrize_gram(x) -> SymMatrix:
     """Embed X into the symmetric (N+p) x (N+p) matrix N^{-1/2} [[0, X^T], [X, 0]].
 
     Its spectrum is symmetric about 0; the squares of its nonzero
@@ -137,10 +131,6 @@ def symmetrize_gram(x, n_rows: int | None = None,
     """
     arr = _as_array(x)
     nn, pp = arr.shape
-    if n_rows is not None and n_rows != nn:
-        raise DomainError("n_rows must equal the row count")
-    if n_cols is not None and n_cols != pp:
-        raise DomainError("n_cols must equal the column count")
     scaled = arr / math.sqrt(nn)
     out = np.zeros((nn + pp, nn + pp))
     out[:pp, pp:] = scaled.T
@@ -162,17 +152,7 @@ def symmetric_eigenvalues(a) -> Esd:
     if n > MAX_ORDER:
         raise DomainError(f"order {n} exceeds the configured cap {MAX_ORDER}")
     d, e = _kernels.tridiagonalize(a.values)
-    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * n)
-    if status > 0:
-        raise EigenNonConvergence(
-            f"implicit-shift QL exceeded the {30 * n} sweep cap "
-            f"while deflating eigenvalue index {status - 1}", status - 1)
-    if status < 0:
-        raise EigenNonConvergence(
-            f"divide and conquer: the secular equation root for eigenvalue "
-            f"index {-status - 1} did not converge in "
-            f"{_kernels._SECULAR_MAXIT} iterations", -status - 1)
-    return Esd(eigs)
+    return Esd(_kernels.tridiagonal_eigenvalues(d, e))
 
 
 def esd_cdf(e: Esd, x):

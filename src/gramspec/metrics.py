@@ -118,10 +118,9 @@ class StepCdf:
         return StepCdf(xs, right - w, right)
 
     @staticmethod
-    def from_grid(xs, cdf_vals, atom0: float = 0.0,
-                  atom_at: float = 0.0) -> "StepCdf":
+    def from_grid(xs, cdf_vals, atom0: float = 0.0) -> "StepCdf":
         """Piecewise-linear CDF through (xs, cdf_vals), optionally preceded
-        by one atom."""
+        by an atom of mass atom0 at 0."""
         xs = np.asarray(xs, dtype=float)
         vals = np.asarray(cdf_vals, dtype=float)
         if xs.shape != vals.shape or xs.ndim != 1 or xs.size == 0:
@@ -129,9 +128,9 @@ class StepCdf:
         if atom0 < 0:
             raise DomainError("atom mass must be nonnegative")
         if atom0 > 0:
-            if atom_at >= xs[0]:
+            if xs[0] <= 0.0:
                 raise DomainError("the atom must sit left of the grid")
-            bx = np.concatenate(([atom_at], xs))
+            bx = np.concatenate(([0.0], xs))
             bl = np.concatenate(([0.0], vals))
             br = np.concatenate(([atom0], vals))
             return StepCdf(bx, bl, br)

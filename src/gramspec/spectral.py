@@ -186,12 +186,18 @@ def _refine_points(f: SpectralDensity) -> tuple[float, ...]:
     return ()
 
 
+def _marks(f: SpectralDensity) -> tuple[float, ...]:
+    # Every abscissa of [0, pi] where f is singular or has a kink, sorted:
+    # the points quadrature panels and monotone pieces split at.
+    return tuple(sorted({*_singular_in_half(f), *_refine_points(f)}))
+
+
 def _monotone_pieces(f: SpectralDensity):
     # (lo, hi, f(lo), f(hi)) for each stretch of [0, pi] between consecutive
     # marks.  Every family is monotone between its singular points and
     # refine points (an extremum sits at 0, at pi or at a table knot), so f
     # is monotone on each piece and constant where f(lo) == f(hi).
-    marks = sorted({0.0, math.pi, *_singular_in_half(f), *_refine_points(f)})
+    marks = sorted({0.0, math.pi, *_marks(f)})
     vals = density_values(f, np.asarray(marks))
     return zip(marks[:-1], marks[1:], vals[:-1].tolist(), vals[1:].tolist())
 
@@ -220,8 +226,7 @@ def _cosine_block(f: SpectralDensity, k_cap: int, kind: str,
         "density": lambda x: density_values(f, x),
         "root": lambda x: np.sqrt(density_values(f, x)),
     }[kind]
-    marks = _singular_in_half(f) + _refine_points(f)
-    out = quadrature.cosine_coefficients(fn, k_cap, singular=marks,
+    out = quadrature.cosine_coefficients(fn, k_cap, singular=_marks(f),
                                          rel_tol=rel_tol)
     out.flags.writeable = False
     return out
@@ -298,15 +303,15 @@ def check_tail_tol(tail_tol) -> float:
     return tail_tol
 
 
-def filter_from_density(f: SpectralDensity, tail_tol: float = 1e-6,
-                        hard_cap: int = MAX_FILTER_HALF_LENGTH) -> LinearFilter:
+def filter_from_density(f: SpectralDensity,
+                        tail_tol: float = 1e-6) -> LinearFilter:
     """Symmetric-support moving-average filter reproducing the density f.
 
     a_k come from singularity-refined quadrature of cos(kx) sqrt(f(x)),
     cached per (f, K); the half-length K doubles from 64 until the
-    certified discarded tail
-    c_0 - sum of a_k^2 drops below tail_tol * c_0.  Raises
-    TailToleranceUnreachable if that needs K beyond hard_cap.
+    certified discarded tail c_0 - sum of a_k^2 drops below
+    tail_tol * c_0.  Raises TailToleranceUnreachable if that needs K beyond
+    MAX_FILTER_HALF_LENGTH.
     """
     check_tail_tol(tail_tol)
     c0 = covariance_from_density(f, 0)
@@ -319,12 +324,12 @@ def filter_from_density(f: SpectralDensity, tail_tol: float = 1e-6,
         if tail <= tail_tol * c0:
             coeffs = np.concatenate([a[:0:-1], a])
             return LinearFilter(offset=k, coeffs=coeffs, tail_bound=tail)
-        if k >= hard_cap:
+        if k >= MAX_FILTER_HALF_LENGTH:
             raise TailToleranceUnreachable(
                 f"tail mass {tail:.3e} still above {tail_tol:.1e} * c0 at "
-                f"half-length K={k}; raising K past the hard cap {hard_cap} "
-                f"is refused")
-        k = min(2 * k, hard_cap)
+                f"half-length K={k}; raising K past the hard cap "
+                f"{MAX_FILTER_HALF_LENGTH} is refused")
+        k = min(2 * k, MAX_FILTER_HALF_LENGTH)
 
 
 def regularity_profile(filt: LinearFilter, m: int) -> float:

@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from gramspec import cli, constant_density, truncation_ladder
 from gramspec.errors import ConfigError, DomainError
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 SOLVE_CFG = {
     "name": "t-solve",
@@ -87,6 +89,27 @@ def test_parse_config_rejects_the_removed_eps_ladder():
     with pytest.raises(ConfigError) as exc:
         cli.parse_config(dict(SOLVE_CFG, eps_ladder=[0.05, 0.02]))
     assert exc.value.messages == ["unknown config key 'eps_ladder'"]
+
+
+def test_solver_max_iter_is_an_unknown_key_and_exits_two(tmp_path,
+                                                        monkeypatch):
+    cfg = dict(SOLVE_CFG, solver={"tol": 1e-10, "max_iter": 100})
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(cfg)
+    assert exc.value.messages == [
+        "bad 'solver': unknown solver keys ['max_iter']"]
+    assert _run(tmp_path, monkeypatch, "solve", cfg) == 2
+
+
+@pytest.mark.parametrize("seed", [1, 77, 4242])
+def test_parse_config_accepts_the_benchmark_configs(seed, monkeypatch):
+    # perfbench runs these configs; a key the parser stopped accepting
+    # would make every benchmark operation exit 2
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    for make in (workloads.compare_config, workloads.simulate_config,
+                 workloads.solve_config):
+        cli.parse_config(make(seed))
 
 
 def test_parse_config_rejects_one_cap_with_the_ladders_message():

@@ -7,6 +7,7 @@ import pytest
 
 import gramspec
 from gramspec import _kernels
+from gramspec.errors import EigenNonConvergence
 
 
 def test_backend_reports_a_known_name():
@@ -89,8 +90,7 @@ def test_tridiagonalize_keeps_the_spectrum(case):
     t = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
     np.testing.assert_allclose(np.linalg.eigvalsh(t), expect, rtol=0.0,
                                atol=atol)
-    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * m.shape[0])
-    assert status == 0
+    eigs = _kernels.tridiagonal_eigenvalues(d, e)
     np.testing.assert_allclose(eigs, expect, rtol=0.0, atol=atol)
 
 
@@ -139,8 +139,7 @@ def test_divide_and_conquer_matches_eigvalsh(case, monkeypatch):
     d, e = _DIVIDE_CASES[case]()
     t = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
     expect = np.linalg.eigvalsh(t)
-    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
-    assert status == 0
+    eigs = _kernels.tridiagonal_eigenvalues(d, e)
     np.testing.assert_allclose(eigs, expect, rtol=0.0,
                                atol=1e-13 * float(np.max(np.abs(expect))))
 
@@ -179,8 +178,7 @@ _RESOLVENT_CASES = {
 @pytest.mark.parametrize("case", list(_RESOLVENT_CASES))
 def test_resolvent_trace_matches_the_eigenvalue_route(case):
     d, e, unit = _RESOLVENT_CASES[case]()
-    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
-    assert status == 0
+    eigs = _kernels.tridiagonal_eigenvalues(d, e)
     for y in (1e-3, 0.1, 2.0):
         for sign in (1.0, -1.0):
             for x in (-1.3, 0.0, 0.2, 2.1):
@@ -221,8 +219,7 @@ def test_divide_and_conquer_at_order_1000(gram_1000_tridiagonal):
     d, e = gram_1000_tridiagonal
     t = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
     expect = np.linalg.eigvalsh(t)
-    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
-    assert status == 0
+    eigs = _kernels.tridiagonal_eigenvalues(d, e)
     np.testing.assert_allclose(eigs, expect, rtol=0.0,
                                atol=1e-13 * float(np.max(np.abs(expect))))
 
@@ -233,7 +230,7 @@ def test_divide_and_conquer_peak_allocation(gram_1000_tridiagonal):
     d, e = gram_1000_tridiagonal
     tracemalloc.start()
     try:
-        _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
+        _kernels.tridiagonal_eigenvalues(d, e)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -248,8 +245,25 @@ def test_divide_and_conquer_keeps_ql_below_the_leaf_order(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_divide", fail)
     d, e = _split_at_top(_kernels._QL_MAX)
-    eigs, status = _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
-    assert status == 0 and eigs.size == _kernels._QL_MAX
+    eigs = _kernels.tridiagonal_eigenvalues(d, e)
+    assert eigs.size == _kernels._QL_MAX
     d, e = _split_at_top(_kernels._QL_MAX + 1)
     with pytest.raises(AssertionError, match="divide and conquer ran"):
-        _kernels.tridiagonal_eigenvalues(d, e, 30 * d.size)
+        _kernels.tridiagonal_eigenvalues(d, e)
+
+
+def test_tridiagonal_eigenvalues_raise_at_their_caps(monkeypatch):
+    # the kernel raises EigenNonConvergence itself, on both paths: the QL
+    # loop at its sweep cap, and above _QL_MAX the divide and conquer at
+    # an unconverged secular root
+    d, e = _random_tridiagonal(23, 8)
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "_SWEEPS_PER_ROW", 0)
+        with pytest.raises(EigenNonConvergence, match="sweep cap") as info:
+            _kernels.tridiagonal_eigenvalues(d, e)
+    assert info.value.index == 0
+    d, e = _random_tridiagonal(24, _kernels._QL_MAX + 1)
+    monkeypatch.setattr(_kernels, "_SECULAR_MAXIT", 0)
+    with pytest.raises(EigenNonConvergence, match="secular") as info:
+        _kernels.tridiagonal_eigenvalues(d, e)
+    assert 0 <= info.value.index < d.size

@@ -160,8 +160,6 @@ def test_solver_settings_validation():
     with pytest.raises(DomainError):
         gramspec.SolverSettings(tol=0.0)
     with pytest.raises(DomainError):
-        gramspec.SolverSettings(max_iter=0)
-    with pytest.raises(DomainError):
         gramspec.SolverSettings(quad_tol=-1.0)
 
 

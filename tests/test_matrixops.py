@@ -36,8 +36,13 @@ def test_gram_is_normalized_cross_product():
     x = rng.standard_normal((11, 4))
     g = gramspec.gram(x)
     np.testing.assert_allclose(g.values, x.T @ x / 11.0, rtol=1e-14)
+    np.testing.assert_allclose(gramspec.gram(x, 2.0).values, x.T @ x / 2.0,
+                               rtol=1e-14)
+    for bad in (np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(DomainError):
+            gramspec.gram(bad)
     with pytest.raises(DomainError):
-        gramspec.gram(x, n_rows=10)
+        gramspec.gram(x, 0.0)
 
 
 def _triangle_passes(a):
@@ -217,10 +222,8 @@ def test_eigenvalues_match_lapack(case, monkeypatch):
 
 
 def test_sweep_cap_raises_eigen_non_convergence(monkeypatch):
-    solve = _kernels.tridiagonal_eigenvalues
-    monkeypatch.setattr(_kernels, "tridiagonal_eigenvalues",
-                        lambda d, e, cap: solve(d, e, 0))
-    with pytest.raises(EigenNonConvergence) as info:
+    monkeypatch.setattr(_kernels, "_SWEEPS_PER_ROW", 0)
+    with pytest.raises(EigenNonConvergence, match="sweep cap") as info:
         gramspec.symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 3.0]]))
     assert info.value.index == 0
     # a diagonal matrix deflates without a single sweep
@@ -230,14 +233,12 @@ def test_sweep_cap_raises_eigen_non_convergence(monkeypatch):
 
 def test_divide_and_conquer_caps_raise_eigen_non_convergence(monkeypatch):
     # order 80, sent to the divide and conquer by lowering the QL
-    # crossover: a leaf's QL sweeps share the 30n cap, and each secular
-    # root has _SECULAR_MAXIT steps
+    # crossover: a leaf's QL sweeps share the cap of _SWEEPS_PER_ROW per
+    # row, and each secular root has _SECULAR_MAXIT steps
     monkeypatch.setattr(_kernels, "_QL_MAX", _kernels._LEAF)
     a = _random_symmetric(15, 80)
-    solve = _kernels.tridiagonal_eigenvalues
     with monkeypatch.context() as m:
-        m.setattr(_kernels, "tridiagonal_eigenvalues",
-                  lambda d, e, cap: solve(d, e, 0))
+        m.setattr(_kernels, "_SWEEPS_PER_ROW", 0)
         with pytest.raises(EigenNonConvergence, match="sweep cap") as info:
             gramspec.symmetric_eigenvalues(a)
         assert info.value.index == 0

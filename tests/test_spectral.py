@@ -150,20 +150,22 @@ def test_fractional_filter_tail_bound_is_honest_parseval_remainder():
     assert filt.sum_sq() + filt.tail_bound == pytest.approx(c0, rel=1e-6)
 
 
-def test_filter_tail_tolerance_unreachable_raises():
+def test_filter_tail_tolerance_unreachable_raises(monkeypatch):
     # d = 0.3 tails decay like K^{-0.4}; 1e-6 needs K far beyond any cap
-    with pytest.raises(TailToleranceUnreachable):
+    monkeypatch.setattr(spectral, "MAX_FILTER_HALF_LENGTH", 256)
+    with pytest.raises(TailToleranceUnreachable, match="K=256"):
         gramspec.filter_from_density(gramspec.fractional_density(0.3, 1.0),
-                                     tail_tol=1e-6, hard_cap=256)
+                                     tail_tol=1e-6)
 
 
-def test_filter_past_k_65536_reaches_its_hard_cap():
+def test_filter_past_k_65536_reaches_its_hard_cap(monkeypatch):
     # the default evaluation cap follows the level-0 cell count, so a
     # K = 131072 transform (about 1.1e6 evaluations over two levels) runs,
     # and the refusal is the tail's, not the quadrature's
+    monkeypatch.setattr(spectral, "MAX_FILTER_HALF_LENGTH", 2**17)
     with pytest.raises(TailToleranceUnreachable, match="K=131072"):
         gramspec.filter_from_density(gramspec.fractional_density(0.3),
-                                     tail_tol=1e-6, hard_cap=2**17)
+                                     tail_tol=1e-6)
 
 
 def test_linear_filter_validation():
