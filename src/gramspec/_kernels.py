@@ -2,14 +2,16 @@
 
 Householder tridiagonalization in numpy (the rank-2 updates of each panel
 of 32 columns applied as one product, those of the last 32 columns one at
-a time); the eigenvalues of the tridiagonal matrix, by root-free
-implicit-shift QL (a plain Python loop on Python floats) up to order 200,
-where it is the faster of the two, and by divide and conquer above, whose
-merges solve all their secular equation roots at once in numpy; the trace
-of the tridiagonal resolvent, ``resolvent_trace``, by pivots in O(n); and
-``fixed_point``, the safeguarded Newton iteration that solves the limiting
-equation.  The eigenvalue routines raise EigenNonConvergence themselves
-when an iteration hits its cap.
+a time), on a copy scaled once by an exact power of two where EISPACK
+tred1 rescales every row, with rows whose h = v.v falls below 2^-1000
+taken as already reduced; the eigenvalues of the tridiagonal matrix, by
+root-free implicit-shift QL (a plain Python loop on Python floats) up to
+order 200, where it is the faster of the two, and by divide and conquer
+above, whose merges solve all their secular equation roots at once in
+numpy; the trace of the tridiagonal resolvent, ``resolvent_trace``, by
+pivots in O(n); and ``fixed_point``, the safeguarded Newton iteration
+that solves the limiting equation.  The eigenvalue routines raise
+EigenNonConvergence themselves when an iteration hits its cap.
 """
 
 from __future__ import annotations
@@ -33,11 +35,30 @@ def backend_name() -> str:
 # Panel width: reflectors whose rank-2 updates are deferred and applied to the
 # trailing block as one product.
 _NB = 32
+# A row of the scaled matrix whose h = v.v is below this counts as already
+# reduced.
+_H_MIN = 2.0 ** -1000
+
+
+def _exponent(top: float) -> int:
+    """The k for which 2^-k top lies in [0.5, 1); 0 for top = 0."""
+    return math.frexp(top)[1]
 
 
 def tridiagonalize(a: np.ndarray):
     """Diagonal d and off-diagonal e (e[i] couples rows i-1 and i) of a
     tridiagonal matrix orthogonally similar to the symmetric matrix a.
+
+    The working copy is first scaled, exactly, by the power of two 2^-k
+    that brings max |a_ij| into [0.5, 1) (the exponent rule of
+    _unit_scaled), and d and e are scaled back by 2^k at the end.  This
+    one scaling replaces EISPACK tred1's l1 rescale of every row: no
+    h = v.v of a Householder vector v can overflow, and, while no entry is
+    denormal, 2^j a gives 2^j times the bytes of a.  A row with
+    h < 2^-1000 counts as already reduced (e[i] = a[i, i-1]): the entries
+    left of its subdiagonal, each below 2^-500, that is below
+    2^-499 max |a_ij| in the input's units, are dropped, because an h in
+    the denormal range would make the rank-2 update wrong by O(|a|).
 
     Rows are reduced from the last up, as in EISPACK tred1, with the
     updates deferred over panels of _NB reflectors as in LAPACK
@@ -56,6 +77,8 @@ def tridiagonalize(a: np.ndarray):
     """
     a = np.array(a, dtype=np.float64, order="C")
     n = a.shape[0]
+    scale_exp = _exponent(float(np.max(np.abs(a), initial=0.0)))
+    np.ldexp(a, -scale_exp, out=a)
     e = np.zeros(n)
     s = np.empty((2 * _NB, n))
     k = 0
@@ -65,16 +88,14 @@ def tridiagonalize(a: np.ndarray):
             a[i, :i + 1] -= w[::-1, i].copy() @ w[:, :i + 1]
         v = s[_NB - 1 - k, :i]
         v[:] = a[i, :i]
-        scale = float(np.sum(np.abs(v)))
+        h = float(v @ v)
         blk = a[:i, :i]
-        if scale == 0.0:
+        if h < _H_MIN:
             e[i] = a[i, i - 1]
         else:
-            v /= scale
-            h = float(v @ v)
-            f = v[-1]
+            f = float(v[-1])
             g = -math.sqrt(h) if f >= 0.0 else math.sqrt(h)
-            e[i] = scale * g
+            e[i] = g
             h -= f * g
             v[-1] = f - g
             p = blk @ v
@@ -91,7 +112,7 @@ def tridiagonalize(a: np.ndarray):
             k = 0
     if n > 1:
         e[1] = a[1, 0]
-    return np.diag(a).copy(), e
+    return np.ldexp(np.diag(a), scale_exp), np.ldexp(e, scale_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +143,7 @@ def _unit_scaled(d, e, z: complex = 0.0):
     b = np.asarray(e, dtype=np.float64)[1:]
     top = max(float(np.max(np.abs(d))), float(np.max(np.abs(b), initial=0.0)),
               abs(z))
-    k = math.frexp(top)[1]
+    k = _exponent(top)
     return np.ldexp(d, -k), np.ldexp(b, -k), k
 
 
@@ -650,7 +671,8 @@ def fixed_point(z, g, w, s0, tol, max_iter):
 def warm_up():
     """Run every kernel once on tiny inputs, so that first-call costs fall
     outside timed work."""
-    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    # order 3, so that tridiagonalize builds one Householder reflector
+    a = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 4.0]])
     d, e = tridiagonalize(a)
     tridiagonal_eigenvalues(d, e)
     resolvent_trace(d, e, 1j)

@@ -80,9 +80,11 @@ def symmetric_from_lower(x, n: int) -> SymMatrix:
     return SymMatrix(a)
 
 
-def _as_array(x) -> np.ndarray:
-    arr = getattr(x, "values", x)
-    return np.asarray(arr, dtype=float)
+def _data_matrix(x) -> np.ndarray:
+    arr = np.asarray(getattr(x, "values", x), dtype=float)
+    if arr.ndim != 2:
+        raise DomainError("data matrix must be 2-d")
+    return arr
 
 
 def gram(x, norm: float | None = None) -> SymMatrix:
@@ -95,9 +97,7 @@ def gram(x, norm: float | None = None) -> SymMatrix:
     as it is (X^T of a C-ordered matrix is Fortran-ordered), any other is
     made C-contiguous first.
     """
-    arr = _as_array(x)
-    if arr.ndim != 2:
-        raise DomainError("data matrix must be 2-d")
+    arr = _data_matrix(x)
     if not arr.flags.f_contiguous:
         arr = np.ascontiguousarray(arr)
     norm = arr.shape[0] if norm is None else norm
@@ -115,9 +115,9 @@ def gram_eigenvalues(x, norm: float) -> Esd:
     zeros.  For p <= N and norm = N the result is
     symmetric_eigenvalues(gram(x)), byte for byte.
     """
-    arr = _as_array(x)
-    if arr.ndim != 2 or arr.shape[1] <= arr.shape[0]:
-        return symmetric_eigenvalues(gram(arr, norm))  # gram checks the shape
+    arr = _data_matrix(x)
+    if arr.shape[1] <= arr.shape[0]:
+        return symmetric_eigenvalues(gram(arr, norm))
     nn, pp = arr.shape
     eigs = symmetric_eigenvalues(gram(arr.T, norm)).eigs
     return Esd(np.concatenate((eigs, np.zeros(pp - nn))))
@@ -129,7 +129,7 @@ def symmetrize_gram(x) -> SymMatrix:
     Its spectrum is symmetric about 0; the squares of its nonzero
     eigenvalues are the nonzero eigenvalues of gram(X).
     """
-    arr = _as_array(x)
+    arr = _data_matrix(x)
     nn, pp = arr.shape
     scaled = arr / math.sqrt(nn)
     out = np.zeros((nn + pp, nn + pp))
@@ -181,7 +181,7 @@ def gram_stieltjes_identity(x, z: complex) -> tuple[complex, complex]:
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("identity needs Im z > 0")
-    arr = _as_array(x)
+    arr = _data_matrix(x)
     nn, pp = arr.shape
     lhs = stieltjes_empirical(gram_eigenvalues(arr, nn), z)
     w = np.sqrt(complex(z))  # principal branch maps C+ into the first quadrant

@@ -19,6 +19,20 @@ def test_warm_up_is_idempotent():
     gramspec.warm_up()
 
 
+def test_warm_up_runs_the_householder_step(monkeypatch):
+    # tridiagonalize builds a reflector only from order 3 up
+    orders = []
+    real = _kernels.tridiagonalize
+
+    def record(a):
+        orders.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(_kernels, "tridiagonalize", record)
+    gramspec.warm_up()
+    assert orders and min(orders) >= 3
+
+
 def test_fixed_point_status_codes():
     # 0 once the residual meets tol, 1 when the iteration budget runs out
     rng = np.random.default_rng(0)
@@ -51,6 +65,14 @@ def _block_diagonal(*blocks) -> np.ndarray:
     return a
 
 
+def _trailing_rows_scaled(n: int, m: int, scale: float) -> np.ndarray:
+    # D a D with D = diag(1, ..., 1, scale, ..., scale), the last m of n
+    # rows and columns scaled
+    dd = np.ones(n)
+    dd[n - m:] = scale
+    return _random_symmetric(8, n) * dd[:, None] * dd[None, :]
+
+
 def _low_rank(n: int, r: int) -> np.ndarray:
     b = np.random.default_rng(4).standard_normal((n, r))
     return b @ b.T  # n - r exact zero eigenvalues
@@ -73,6 +95,18 @@ _TRIDIAGONALIZE_CASES = {
     "low-rank-100x20": lambda: _low_rank(100, 20),
     "scaled-1e200": lambda: 1e200 * _random_symmetric(5, 80),
     "scaled-1e-200": lambda: 1e-200 * _random_symmetric(5, 80),
+    "scaled-1e300": lambda: 1e300 * _random_symmetric(9, 40),
+    "scaled-1e-300": lambda: 1e-300 * _random_symmetric(9, 40),
+    # the trailing block is denormal and h = v.v of the last rows falls in
+    # the denormal range: without the h < 2^-1000 guard the rank-2 updates
+    # are wrong by O(|a|) and the result is NaN
+    "trailing-rows-1e-155": lambda: _trailing_rows_scaled(40, 20, 1e-155),
+    **{f"random-{n}": (lambda n=n: _random_symmetric(n, n))
+       for n in (1, 2, 3, 4)},
+    # every row of the zero block is already reduced when its turn comes
+    "zero-rows-small": lambda: _block_diagonal(
+        _random_symmetric(10, 3), np.zeros((2, 2)), _random_symmetric(11, 4)),
+    "diagonal-6": lambda: np.diag([3.0, -1.0, 0.0, 2.5, 0.0, -4.0]),
 }
 
 
@@ -85,6 +119,7 @@ def test_tridiagonalize_keeps_the_spectrum(case):
     atol = 1e-13 * float(np.max(np.abs(expect)))
     d, e = _kernels.tridiagonalize(m)
     np.testing.assert_array_equal(m, before)
+    assert np.all(np.isfinite(d)) and np.all(np.isfinite(e))
     # the reduction is orthogonal, so the tridiagonal matrix keeps the
     # spectrum to rounding
     t = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
@@ -92,6 +127,21 @@ def test_tridiagonalize_keeps_the_spectrum(case):
                                atol=atol)
     eigs = _kernels.tridiagonal_eigenvalues(d, e)
     np.testing.assert_allclose(eigs, expect, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("j", [-900, -7, 0, 7, 900])
+def test_tridiagonalize_commutes_with_powers_of_two(j):
+    # the working copy is scaled to max |a_ij| in [0.5, 1) by an exact power
+    # of two, so 2^j a gives 2^j times the bytes of a
+    a = _random_symmetric(12, 40)
+    d0, e0 = _kernels.tridiagonalize(a)
+    d, e = _kernels.tridiagonalize(2.0 ** j * a)
+    assert d.tobytes() == (2.0 ** j * d0).tobytes()
+    assert e.tobytes() == (2.0 ** j * e0).tobytes()
+    expect = np.linalg.eigvalsh(2.0 ** j * a)
+    np.testing.assert_allclose(_kernels.tridiagonal_eigenvalues(d, e), expect,
+                               rtol=0.0,
+                               atol=1e-13 * float(np.max(np.abs(expect))))
 
 
 # ---------------------------------------------------------------------------

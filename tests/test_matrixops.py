@@ -335,6 +335,13 @@ def test_stieltjes_empirical_is_resolvent_trace():
         gramspec.stieltjes_empirical(e, 0.7 - 0.2j)
 
 
+def test_embedding_and_identity_refuse_data_that_is_not_2d():
+    with pytest.raises(DomainError, match="2-d"):
+        gramspec.symmetrize_gram(np.ones(3))
+    with pytest.raises(DomainError, match="2-d"):
+        gramspec.gram_stieltjes_identity(np.ones(3), 1.0 + 1.0j)
+
+
 def test_gram_stieltjes_identity_agrees_on_random_instances():
     rng = np.random.default_rng(6)
     for _ in range(25):
