@@ -25,7 +25,7 @@ from .ensemble import (DataMatrix, InnovationLaw, gaussian_law,
                        martingale_sign_law, rademacher_law,
                        read_datamatrix, row_rng, student_t_law,
                        toeplitz_matrix, uniform_law, write_datamatrix)
-from .matrixops import (Esd, SymMatrix, esd_cdf, gram, gram_eigenvalues,
+from .matrixops import (Esd, SymMatrix, gram, gram_eigenvalues,
                         gram_stieltjes_identity, stieltjes_empirical,
                         symmetric_eigenvalues, symmetric_from_lower,
                         symmetrize_gram)
@@ -55,7 +55,7 @@ __all__ = [
     "law_from_spec", "martingale_sign_law", "rademacher_law",
     "read_datamatrix", "row_rng", "student_t_law", "toeplitz_matrix",
     "uniform_law", "write_datamatrix",
-    "Esd", "SymMatrix", "esd_cdf", "gram", "gram_eigenvalues",
+    "Esd", "SymMatrix", "gram", "gram_eigenvalues",
     "gram_stieltjes_identity",
     "stieltjes_empirical", "symmetric_eigenvalues", "symmetric_from_lower",
     "symmetrize_gram",

@@ -35,8 +35,8 @@ import numpy as np
 from . import _kernels, _svg
 from .ensemble import (DataMatrix, InnovationLaw, gaussian_law,
                        generate_linear_rows, generate_toeplitz_gaussian_rows,
-                       law_from_spec, read_datamatrix, toeplitz_matrix,
-                       write_datamatrix, DEFAULT_BUDGET)
+                       law_from_spec, read_datamatrix, row_route,
+                       toeplitz_matrix, write_datamatrix, DEFAULT_BUDGET)
 from .errors import ConfigError, GramspecError
 from .limit import (LimitDistribution, SolverSettings, check_caps,
                     check_grid_points, check_x_grid, default_x_grid,
@@ -325,6 +325,7 @@ def _pmap(fn, items, workers: int):
 def _seed_matrix(cfg: ExperimentConfig, seed: int, stream: int = 0,
                  law: InnovationLaw | None = None,
                  filt=None) -> DataMatrix:
+    # Rows through filt, or by circulant embedding when there is none.
     if cfg.load_matrices is not None:
         path = os.path.join(cfg.load_matrices, f"seed{seed}.bin")
         dm = read_datamatrix(path)
@@ -333,7 +334,7 @@ def _seed_matrix(cfg: ExperimentConfig, seed: int, stream: int = 0,
                 [f"cached matrix {path} has shape {dm.n_rows}x{dm.n_cols}, "
                  f"config wants {cfg.n_rows}x{cfg.n_cols}"])
         return dm
-    if cfg.ensemble_kind == "toeplitz-gaussian":
+    if filt is None:
         return generate_toeplitz_gaussian_rows(
             cfg.density, cfg.n_rows, cfg.n_cols, seed, stream=stream,
             budget=cfg.budget)
@@ -354,6 +355,22 @@ def _ensemble_filter(cfg: ExperimentConfig):
     if cfg.ensemble_kind == "toeplitz-gaussian" or cfg.load_matrices:
         return None
     return filter_from_density(cfg.density, tail_tol=cfg.tail_tol)
+
+
+def _row_source(cfg: ExperimentConfig):
+    # The filter that drives compare's and simulate's rows (None for the
+    # circulant embedding) and the manifest's record of that route, which
+    # is None for loaded matrices.
+    if cfg.load_matrices:
+        return None, None
+    filt = _ensemble_filter(cfg)
+    route, length = row_route(cfg.density, cfg.n_cols, filt, cfg.law)
+    record = {"route": route, "fft_length": length}
+    if route == "circulant":
+        return None, record
+    record.update(filter_half_length=filt.offset,
+                  filter_tail_bound=filt.tail_bound)
+    return filt, record
 
 
 def _grid_for(cfg: ExperimentConfig, f: SpectralDensity, c: float):
@@ -412,7 +429,7 @@ def _cmd_solve(cfg: ExperimentConfig, stage: str):
 
 
 def _simulate_esds(cfg: ExperimentConfig, stage: str):
-    filt = _ensemble_filter(cfg)
+    filt, route = _row_source(cfg)
     save_dir = None
     if cfg.save_matrices:
         save_dir = os.path.join(stage, "matrices")
@@ -429,18 +446,20 @@ def _simulate_esds(cfg: ExperimentConfig, stage: str):
     pooled = Esd(np.concatenate([e.eigs for e in esds]))
     _write_csv(os.path.join(stage, "esd_pooled.csv"), ["index", "lambda"],
                list(enumerate(pooled.eigs.tolist())))
-    return esds, pooled
+    return esds, pooled, route
 
 
 def _cmd_simulate(cfg: ExperimentConfig, stage: str):
     _require(cfg, "simulate", "density", "aspect", "seeds")
-    esds, pooled = _simulate_esds(cfg, stage)
+    esds, pooled, route = _simulate_esds(cfg, stage)
     result = {
         "seeds": list(cfg.seeds),
         "eigs_per_seed": cfg.n_cols,
         "min_eig": float(pooled.eigs[0]),
         "max_eig": float(pooled.eigs[-1]),
     }
+    if route is not None:
+        result["rows"] = route
     return result, True
 
 
@@ -451,7 +470,7 @@ def _cmd_compare(cfg: ExperimentConfig, stage: str):
         cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
     _limit_csv(stage, limit)
     limit_cdf = StepCdf.from_limit(limit)
-    esds, pooled = _simulate_esds(cfg, stage)
+    esds, pooled, route = _simulate_esds(cfg, stage)
     rows = []
     per_seed = []
     for seed, esd in zip(cfg.seeds, esds):
@@ -481,6 +500,8 @@ def _cmd_compare(cfg: ExperimentConfig, stage: str):
         "pass": passed,
         **_limit_summary(limit),
     }
+    if route is not None:
+        result["rows"] = route
     return result, passed
 
 

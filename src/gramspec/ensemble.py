@@ -4,30 +4,42 @@ Each row gets its own counter-based Philox substream keyed by (seed,
 stream, row index), so any row can be regenerated in isolation with
 ``row_rng`` and results do not depend on chunking or worker scheduling.
 Rows are linear processes X_{i,t} = sum_k a_k eps_{i,t-k} driven by a
-unit-variance innovation law, or exact Gaussian rows drawn through the
-PSD square root of the banded covariance matrix.
+unit-variance innovation law, or exact Gaussian rows drawn by circulant
+embedding of the covariance matrix Gamma_p (Davies & Harte 1987; Wood &
+Chan 1994): Gamma_p is the leading block of the symmetric circulant of
+even order m = 2 * (the 5-smooth length >= p - 1) whose first row is
+c_0 .. c_{m/2} .. c_1, that circulant's eigenvalues lambda are one real
+FFT of that row, and irfft(sqrt(lambda) * rfft(e), m)[:p] is exactly
+N(0, Gamma_p) for m standard normals e.  An embedding with an eigenvalue
+below -1e-8 max lambda is refused with DomainError; smaller negative ones
+are clipped to 0.  ``row_route`` is the one rule that picks between the
+two for Gaussian rows of a density: the embedding whenever it is shorter
+than the filter's FFT and nonnegative.
 
 Generation does not build a generator per row: each generating thread
 keeps one Philox generator and re-keys it for every row by setting its
 state (the row's key, counter 0, empty buffers), which draws exactly the
 stream ``row_rng`` gives that row.
 
-Linear-process rows are convolved by FFT on every core the process may
-use, up to _MAX_THREADS (16): the rows are split into one contiguous block
-per thread, and each thread walks its block in batches of rows through
-three buffers (innovations, their spectrum, the convolution), allocated
-once; innovations are drawn straight into the first.  A batch is a
-multiple of 4 rows, as many as fit in about 2**16 float slots per buffer,
-because numpy's FFT costs the same per row from 4 rows up and more below;
-when 4 rows would pass 2**18 slots, a batch is as many rows as fit in
-2**18, at least one.  At the long-memory filter's FFT length 8640 that is
-4 rows, 0.8 MiB per thread.  Each row is drawn from its own substream and transformed on its
-own, so the bytes equal those of a one-thread run with any batch size.
+Both kinds of row are one real FFT product per row, run on every core the
+process may use, up to _MAX_THREADS (16): the rows are split into one
+contiguous block per thread, and each thread walks its block in batches
+of rows through three buffers (random draws, their spectrum, the product),
+allocated once; draws go straight into the first.  A batch is a multiple
+of 4 rows, as many as fit in about 2**14 float slots per buffer, because
+numpy's FFT costs the same per row from 4 rows up and more below; when 4
+rows would pass 2**18 slots, a batch is as many rows as fit in 2**18, at
+least one.  At the long-memory filter's FFT length 8640 that is 4 rows,
+0.8 MiB per thread; at the embedding order 800 of 400-column rows, 20
+rows, 0.4 MiB.  Each row is drawn from its own substream and
+transformed on its own, so the bytes equal those of a one-thread run with
+any batch size, and no BLAS call touches them, so they do not depend on
+the BLAS thread count either.
 
 The ``budget`` of every generator counts float64 slots held at the peak:
-for linear-process rows the output plus the batch buffers of up to 16
-threads (charged at the cap, so whether a run fits does not depend on the
-host).
+the output plus the batch buffers of up to 16 threads (charged at the
+cap, so whether a run fits does not depend on the host), and for
+embedded rows the m/2 + 1 square roots of lambda.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ DEFAULT_BUDGET = 2 ** 27
 # _BATCH_SLOTS float64 slots in each of a thread's three buffers; a row too
 # long for a group gets as many rows as fit in _THREAD_SLOTS, at least one.
 _ROW_GROUP = 4
-_BATCH_SLOTS = 2 ** 16
+_BATCH_SLOTS = 2 ** 14
 _THREAD_SLOTS = 2 ** 18
 # Generation threads, whatever the core count.
 _MAX_THREADS = 16
@@ -232,21 +244,24 @@ def _check_budget(need: int, held: str, budget: int) -> None:
 def _batch_rows(nfft: int) -> int:
     # Rows per FFT batch at transform length nfft: whole groups of
     # _ROW_GROUP rows in about _BATCH_SLOTS slots, or, when one group would
-    # pass _THREAD_SLOTS, as many rows as fit in it.  4 rows at 8640, 56 at
-    # 1152; a buffer never holds more than _THREAD_SLOTS slots unless one
-    # row does.
+    # pass _THREAD_SLOTS, as many rows as fit in it.  4 rows at 8640, 12 at
+    # 1152, 20 at 800; a buffer never holds more than _THREAD_SLOTS slots
+    # unless one row does.
     if _ROW_GROUP * nfft <= _THREAD_SLOTS:
         return _ROW_GROUP * max(1, _BATCH_SLOTS // (_ROW_GROUP * nfft))
     return max(1, _THREAD_SLOTS // nfft)
 
 
-def _linear_slots(n_rows: int, n_cols: int, flen: int) -> int:
-    # The output plus every thread's three batch buffers, at the thread cap
-    # so the count does not depend on the host.
-    nfft = _smooth_length(n_cols + flen - 1)
+def _fft_slots(n_rows: int, n_cols: int, nfft: int) -> int:
+    # The output plus every thread's three batch buffers at FFT length
+    # nfft, at the thread cap so the count does not depend on the host.
     threads = min(n_rows, _MAX_THREADS)
     rows = min(_batch_rows(nfft), -(-n_rows // threads))
     return n_rows * n_cols + threads * 3 * rows * nfft
+
+
+def _linear_slots(n_rows: int, n_cols: int, flen: int) -> int:
+    return _fft_slots(n_rows, n_cols, _smooth_length(n_cols + flen - 1))
 
 
 def _smooth_length(m: int) -> int:
@@ -272,34 +287,29 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-def _linear_values(filt: LinearFilter, law: InnovationLaw, n_rows: int,
-                   n_cols: int, seed: int, stream: int) -> np.ndarray:
-    # Row i is np.convolve(eps_i, coeffs, "valid"): outputs flen-1 .. m-1 of
-    # the full convolution.  A circular convolution of any length >= m
-    # leaves those indices unwrapped, so the FFT length is the shortest
-    # 5-smooth one >= m.  Every row has its own substream and its own 1-D
-    # transform, so the bytes do not depend on how the rows are split.
-    coeffs = filt.coeffs
-    flen = coeffs.size
-    m = n_cols + flen - 1  # innovations per row
-    nfft = _smooth_length(m)
-    kern = np.fft.rfft(coeffs, nfft)
+def _fft_rows(kern: np.ndarray, nfft: int, law: InnovationLaw, n_draw: int,
+              first: int, n_rows: int, n_cols: int, seed: int,
+              stream: int) -> np.ndarray:
+    # Row i is irfft(kern * rfft(e_i, nfft), nfft)[first:first + n_cols],
+    # with e_i the first n_draw values of law on row i's substream.  Every
+    # row has its own substream and its own 1-D transform, so the bytes do
+    # not depend on how the rows are split.
     out = np.empty((n_rows, n_cols))
 
     def fill(lo, hi):
         rows = min(hi - lo, _batch_rows(nfft))
-        eps = np.zeros((rows, nfft))  # columns m.. stay zero
+        eps = np.zeros((rows, nfft))  # columns n_draw.. stay zero
         spec = np.empty((rows, nfft // 2 + 1), dtype=complex)
         conv = np.empty((rows, nfft))
         at = _row_streams(seed, stream)
         for c0 in range(lo, hi, rows):
             k = min(rows, hi - c0)
             for j in range(k):
-                law.sample(at(c0 + j), m, out=eps[j, :m])
+                law.sample(at(c0 + j), n_draw, out=eps[j, :n_draw])
             np.fft.rfft(eps[:k], axis=1, out=spec[:k])
             spec[:k] *= kern
             np.fft.irfft(spec[:k], nfft, axis=1, out=conv[:k])
-            out[c0:c0 + k] = conv[:k, flen - 1:m]
+            out[c0:c0 + k] = conv[:k, first:first + n_cols]
 
     # One contiguous block per core, at most _MAX_THREADS threads, each
     # holding 3 * rows * nfft buffer slots: at nfft = 8640, 4 rows, 0.8 MiB
@@ -312,6 +322,19 @@ def _linear_values(filt: LinearFilter, law: InnovationLaw, n_rows: int,
     with ThreadPoolExecutor(parts) as pool:
         list(pool.map(fill, bounds[:-1], bounds[1:]))
     return out
+
+
+def _linear_values(filt: LinearFilter, law: InnovationLaw, n_rows: int,
+                   n_cols: int, seed: int, stream: int) -> np.ndarray:
+    # Row i is np.convolve(eps_i, coeffs, "valid"): outputs flen-1 .. m-1 of
+    # the full convolution of m innovations.  A circular convolution of any
+    # length >= m leaves those indices unwrapped, so the FFT length is the
+    # shortest 5-smooth one >= m.
+    flen = filt.coeffs.size
+    m = n_cols + flen - 1
+    nfft = _smooth_length(m)
+    return _fft_rows(np.fft.rfft(filt.coeffs, nfft), nfft, law, m, flen - 1,
+                     n_rows, n_cols, seed, stream)
 
 
 def generate_linear_rows(filt: LinearFilter, law: InnovationLaw, n_rows: int,
@@ -334,8 +357,16 @@ def generate_gaussian_rows(f: SpectralDensity, n_rows: int, n_cols: int,
                            seed: int, *, tail_tol: float = 1e-6,
                            stream: int = 0,
                            budget: int = DEFAULT_BUDGET) -> DataMatrix:
-    """Gaussian linear-process rows for the density f (filter built on demand)."""
+    """Gaussian rows for the density f, routed by ``row_route``.
+
+    The filter is built on demand; the rows come from the circulant
+    embedding (``generate_toeplitz_gaussian_rows``) when that is shorter
+    than the filter's FFT and nonnegative, else from the filter.
+    """
     filt = filter_from_density(f, tail_tol=tail_tol)
+    if row_route(f, n_cols, filt)[0] == "circulant":
+        return generate_toeplitz_gaussian_rows(f, n_rows, n_cols, seed,
+                                               stream=stream, budget=budget)
     return generate_linear_rows(filt, gaussian_law(), n_rows, n_cols, seed,
                                 stream=stream, budget=budget)
 
@@ -349,47 +380,81 @@ def toeplitz_matrix(f: SpectralDensity, p: int) -> SymMatrix:
     return SymMatrix(c[np.abs(np.subtract.outer(idx, idx))])
 
 
+def _embedding_length(p: int) -> int:
+    # The circulant order: even, and at least 2(p - 1), so that lags
+    # 0 .. p - 1 sit unwrapped in its first row.
+    return 2 * _smooth_length(p - 1)
+
+
+@lru_cache(maxsize=4)
+def _embedding(f: SpectralDensity, p: int) -> tuple[np.ndarray | None, float]:
+    # (sqrt(lambda), min lambda) for the circulant embedding of Gamma_p,
+    # the root read-only and shared by every generation from the same
+    # (f, p); the root is None when min lambda < -1e-8 max lambda.
+    m = _embedding_length(p)
+    c = covariance_sequence(f, m // 2)
+    lam = np.fft.rfft(np.concatenate((c, c[-2:0:-1]))).real
+    low = float(lam.min())
+    if low < -1e-8 * float(lam.max()):
+        return None, low
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    root.flags.writeable = False
+    return root, low
+
+
+def row_route(f: SpectralDensity, n_cols: int,
+              filt: LinearFilter | None = None,
+              law: InnovationLaw = InnovationLaw("gaussian")
+              ) -> tuple[str, int]:
+    """How rows of the density f with n_cols columns are drawn.
+
+    Returns ("circulant", m), the circulant embedding of order m, or
+    ("filter", nfft), the filter filt at FFT length nfft.  Without a filter
+    it is the embedding.  With one, Gaussian-law rows take the embedding
+    when m < nfft and the embedding is nonnegative (it is computed and
+    cached to decide); other laws always drive the filter.
+    """
+    m = _embedding_length(n_cols)
+    if filt is None:
+        return "circulant", m
+    nfft = _smooth_length(n_cols + filt.coeffs.size - 1)
+    if law.tag == "gaussian" and m < nfft \
+            and _embedding(f, n_cols)[0] is not None:
+        return "circulant", m
+    return "filter", nfft
+
+
 def generate_toeplitz_gaussian_rows(f: SpectralDensity, n_rows: int,
                                     n_cols: int, seed: int, *,
                                     stream: int = 0,
                                     budget: int = DEFAULT_BUDGET) -> DataMatrix:
-    """Exact stationary Gaussian rows: N(0, Gamma_p) via the PSD square root.
+    """Exact stationary Gaussian rows, N(0, Gamma_p), by circulant embedding.
 
-    Row i is z_i @ root with z_i the first p standard normals of
-    row_rng(seed, i, stream); all rows are formed in one product.  The
-    square root uses ``np.linalg.eigh`` (LAPACK); this is deliberate
-    plumbing, not a replacement for the package eigensolver, which never
-    touches this path.
+    Row i is irfft(sqrt(lambda) * rfft(e_i), m)[:p], with e_i the first m
+    standard normals of row_rng(seed, i, stream), m the even embedding
+    order (twice the 5-smooth length >= p - 1) and lambda the eigenvalues
+    of the circulant with first row c_0 .. c_{m/2} .. c_1.  Uses FFTs only.
+    Raises DomainError when some lambda < -1e-8 max lambda; smaller
+    negative ones are clipped to 0.
     """
     if n_rows < 1 or n_cols < 1:
         raise DomainError("matrix dimensions must be positive")
-    _check_budget(n_rows * 2 * n_cols + n_cols * n_cols,
-                  f"{n_rows}x{n_cols} normals and rows plus the "
-                  f"{n_cols}x{n_cols} root", budget)
-    root = _psd_root(f, n_cols)
-    z = np.empty((n_rows, n_cols))
-    at = _row_streams(seed, stream)
-    for i in range(n_rows):
-        at(i).standard_normal(out=z[i])
+    m = _embedding_length(n_cols)
+    _check_budget(_fft_slots(n_rows, n_cols, m) + m // 2 + 1,
+                  f"{n_rows}x{n_cols} rows plus the FFT batch buffers of "
+                  f"up to {_MAX_THREADS} threads and the {m // 2 + 1} "
+                  f"embedding roots", budget)
+    root, low = _embedding(f, n_cols)
+    if root is None:
+        raise DomainError(
+            f"circulant embedding of order {m} of the {n_cols}x{n_cols} "
+            f"covariance matrix is indefinite beyond tolerance "
+            f"(min eigenvalue {low:.3e})")
+    vals = _fft_rows(root, m, gaussian_law(), m, 0, n_rows, n_cols, seed,
+                     stream)
     src = (f"toeplitz-gaussian|f={f.family}|params={_params_str(f)}"
            f"|N={n_rows}|p={n_cols}|seed={seed}|stream={stream}")
-    return DataMatrix(z @ root, seed, src)
-
-
-@lru_cache(maxsize=4)
-def _psd_root(f: SpectralDensity, p: int) -> np.ndarray:
-    # The symmetric PSD square root of Gamma_p, shared read-only by every
-    # generation from the same (f, p).
-    gam = toeplitz_matrix(f, p)
-    c0 = float(gam.values[0, 0])
-    w, v = np.linalg.eigh(gam.values)
-    if w[0] < -1e-8 * c0:
-        raise DomainError(
-            f"covariance matrix is indefinite beyond tolerance "
-            f"(min eigenvalue {w[0]:.3e} vs -1e-8*c0 = {-1e-8 * c0:.3e})")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    root.flags.writeable = False
-    return root
+    return DataMatrix(vals, seed, src)
 
 
 def generate_stationary_lower_triangle(filt: LinearFilter, law: InnovationLaw,

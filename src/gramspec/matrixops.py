@@ -155,13 +155,6 @@ def symmetric_eigenvalues(a) -> Esd:
     return Esd(_kernels.tridiagonal_eigenvalues(d, e))
 
 
-def esd_cdf(e: Esd, x):
-    """Step CDF F(x) = #{eigenvalues <= x} / n."""
-    xs = np.asarray(x, dtype=float)
-    vals = np.searchsorted(e.eigs, xs, side="right") / e.n
-    return float(vals) if np.isscalar(x) or xs.ndim == 0 else vals
-
-
 def stieltjes_empirical(e: Esd, z: complex) -> complex:
     """(1/n) Tr (A - zI)^{-1} via the eigenvalue form; requires Im z > 0."""
     z = complex(z)

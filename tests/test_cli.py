@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gramspec
 from gramspec import cli, constant_density, truncation_ladder
 from gramspec.errors import ConfigError, DomainError
 
@@ -379,3 +383,79 @@ def test_save_and_load_matrices_round_trip(tmp_path, monkeypatch):
     for seed in (1, 2):
         assert (first / f"esd_seed{seed}.csv").read_bytes() == \
             (second / f"esd_seed{seed}.csv").read_bytes()
+
+
+_ROUTED_SIM_CFG = {
+    "name": "t-routed",
+    "density": {"family": "fractional", "d": 0.3},
+    "tail_tol": 0.01,
+    "aspect": {"n": 120, "p": 60},
+    "seeds": [1, 2],
+    "save_matrices": True,
+}
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import gramspec
+from gramspec import cli
+assert cli.main(["simulate", "--config", sys.argv[1],
+                 "--output-root", sys.argv[2]]) == 0
+dm = gramspec.generate_toeplitz_gaussian_rows(
+    gramspec.fractional_density(0.3), 600, 300, seed=4)
+print(hashlib.sha256(dm.values.tobytes()).hexdigest())
+"""
+
+
+def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Gaussian rows are FFT products only: a routed simulate saves the same
+    # matrices, and toeplitz-gaussian rows have the same bytes, under one
+    # and two BLAS threads (600 x 300 rows through a p x p product, as
+    # they once were, differed)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gramspec.__file__)))
+    cfg = _write(tmp_path, _ROUTED_SIM_CFG)
+    digests, matrices = [], []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        root = tmp_path / f"threads{threads}"
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT, str(cfg), str(root)],
+            env=env, capture_output=True, text=True, check=True)
+        digests.append(done.stdout.splitlines()[-1])
+        (run_dir,) = root.iterdir()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["result"]["rows"] == {"route": "circulant",
+                                              "fft_length": 120}
+        matrices.append({p.name: p.read_bytes()
+                         for p in (run_dir / "matrices").glob("seed*.bin")})
+    assert digests[0] == digests[1]
+    assert sorted(matrices[0]) == ["seed1.bin", "seed2.bin"]
+    assert matrices[0] == matrices[1]
+
+
+_VANISHING_TABLE = "0.0 1.0\n1.0 1.0\n1.5 0.0\n3.141592653589793 0.0\n"
+
+
+@pytest.mark.parametrize("density, route, length", [
+    ({"family": "fractional", "d": 0.3}, "circulant", 100),
+    # this table's embedding is indefinite, so its rows keep the filter
+    ({"family": "tabulated", "path": "table.txt"}, "filter", 180),
+], ids=["fractional", "vanishing-table"])
+def test_compare_records_the_row_route(tmp_path, monkeypatch, density,
+                                       route, length):
+    # Gaussian rows take the circulant embedding of order 100 at p = 50
+    # when it is nonnegative; the filter route records its K and tail
+    (tmp_path / "table.txt").write_text(_VANISHING_TABLE)
+    cfg = dict(SIM_CFG, name="t-route", density=density,
+               aspect={"n": 100, "p": 50})
+    assert _run(tmp_path, monkeypatch, "compare", cfg) == 0
+    rows = json.loads((_only_run_dir(tmp_path) / "manifest.json")
+                      .read_text())["result"]["rows"]
+    expect = {"route": route, "fft_length": length}
+    if route == "filter":
+        f = cli.parse_config(cfg, base_dir=str(tmp_path)).density
+        filt = gramspec.filter_from_density(f, tail_tol=cfg["tail_tol"])
+        expect.update(filter_half_length=filt.offset,
+                      filter_tail_bound=filt.tail_bound)
+    assert rows == expect

@@ -304,23 +304,97 @@ def test_rekeyed_generator_resets_counter_buffer_and_uint32_cache():
         at(2**48)
 
 
-def test_toeplitz_rows_use_row_streams_and_a_cached_root():
-    # row i is z_i @ root for the first p normals z_i of row_rng(seed, i);
-    # the root is computed once per (f, p) and cannot be written to
+def _embedding_map(f, p):
+    # the p x m matrix that maps m normals to one embedded row, column by
+    # column, with the circulant's eigenvalues built here from the
+    # covariance sequence
+    m = 2 * ensemble._smooth_length(p - 1)
+    c = gramspec.covariance_sequence(f, m // 2)
+    lam = np.fft.rfft(np.concatenate((c, c[-2:0:-1]))).real
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    amap = np.fft.irfft(root[:, None] * np.fft.rfft(np.eye(m), axis=0), m,
+                        axis=0)[:p]
+    return amap, lam
+
+
+def test_toeplitz_rows_use_row_streams_and_a_cached_spectrum():
+    # row i is irfft(sqrt(lambda) * rfft(e_i), m)[:p] for the first m
+    # normals e_i of row_rng(seed, i, stream), m = 2 * 12 for p = 12; the
+    # spectrum is computed once per (f, p) and cannot be written to, and
+    # the map's A A^T is Gamma_p, so the rows are exactly N(0, Gamma_p)
     f = gramspec.ar1_density(0.6, 1.0)
-    seed, stream, n_rows, p = 8, 2, 7, 12
+    seed, stream, n_rows, p, m = 8, 2, 7, 12, 24
     dm = gramspec.generate_toeplitz_gaussian_rows(f, n_rows, p, seed,
                                                   stream=stream)
-    root = ensemble._psd_root(f, p)
-    assert root is ensemble._psd_root(f, p)
+    root, low = ensemble._embedding(f, p)
+    assert ensemble._embedding(f, p)[0] is root
     assert not root.flags.writeable
+    assert root.shape == (m // 2 + 1,) and low > 0.0
+    amap, lam = _embedding_map(f, p)
+    np.testing.assert_allclose(root ** 2, lam, rtol=1e-14, atol=0.0)
     gam = ensemble.toeplitz_matrix(f, p).values
-    assert float(np.max(np.abs(root @ root - gam))) <= 1e-13 * gam[0, 0]
+    assert float(np.max(np.abs(amap @ amap.T - gam))) <= 1e-14 * gam[0, 0]
     for i in range(n_rows):
-        z = ensemble.row_rng(seed, i, stream).standard_normal(p)
-        expect = z @ root
-        err = float(np.max(np.abs(dm.values[i] - expect)))
-        assert err <= 1e-13 * float(np.max(np.abs(expect)))
+        e = ensemble.row_rng(seed, i, stream).standard_normal(m)
+        expect = np.fft.irfft(root * np.fft.rfft(e), m)[:p]
+        assert dm.values[i].tobytes() == expect.tobytes(), i
+        np.testing.assert_allclose(dm.values[i], amap @ e, rtol=0.0,
+                                   atol=1e-13 * float(np.max(np.abs(expect))))
+
+
+def test_embedded_rows_have_the_long_memory_covariance():
+    # 4,000 rows at p = 400, d = 0.3: the lag-k average over rows and
+    # positions is within 4 standard deviations of Gamma_p's c_k at every
+    # lag below 50, the deviation computed from Gamma_p (Gaussian fourth
+    # moments); about 2.4e-3 * c_0 here
+    f = gramspec.fractional_density(0.3)
+    n_rows, p = 4000, 400
+    c = gramspec.covariance_sequence(f, p - 1)
+    x = gramspec.generate_toeplitz_gaussian_rows(f, n_rows, p, seed=1).values
+    for k in range(50):
+        width = p - k
+        h = np.arange(1 - width, width)
+        var = np.sum((width - np.abs(h)) * (c[np.abs(h)] ** 2
+                                            + c[np.abs(h + k)]
+                                            * c[np.abs(h - k)]))
+        sd = math.sqrt(var / n_rows) / width
+        assert sd < 2.5e-3 * c[0]
+        got = float(np.mean(x[:, k:] * x[:, :width]))
+        assert abs(got - c[k]) <= 4.0 * sd, k
+
+
+VANISHING_TABLE = ([0.0, 1.0, 1.5, math.pi], [1.0, 1.0, 0.0, 0.0])
+
+
+def test_indefinite_embedding_raises_a_typed_error():
+    # a density that vanishes on [1.5, pi] has an embedding with negative
+    # eigenvalues far beyond rounding; toeplitz-gaussian rows refuse it,
+    # naming the smallest, and the routing rule falls back to the filter
+    f = gramspec.tabulated_density(*VANISHING_TABLE)
+    with pytest.raises(DomainError, match=r"min eigenvalue -1\.1\d*e-03"):
+        gramspec.generate_toeplitz_gaussian_rows(f, 10, 50, seed=1)
+    filt = gramspec.filter_from_density(f, tail_tol=1e-3)
+    assert filt.coeffs.size == 129
+    assert ensemble.row_route(f, 50, filt) == ("filter", 180)
+    assert ensemble.row_route(f, 50) == ("circulant", 100)
+
+
+def test_gaussian_rows_take_the_shorter_route():
+    # the embedding of order 2 * 400 is shorter than the d = 0.3 filter's
+    # FFT (8640), while the iid filter's FFT at 1,000 columns (1152) is
+    # shorter than the embedding (2000); other laws keep the filter
+    frac = gramspec.fractional_density(0.3)
+    filt = gramspec.filter_from_density(frac, tail_tol=5e-3)
+    assert ensemble.row_route(frac, 400, filt) == ("circulant", 800)
+    assert ensemble.row_route(frac, 400, filt, gramspec.rademacher_law()) \
+        == ("filter", 8640)
+    const = gramspec.constant_density()
+    assert ensemble.row_route(const, 1000,
+                              gramspec.filter_from_density(const)) \
+        == ("filter", 1152)
+    dm = gramspec.generate_gaussian_rows(frac, 6, 40, seed=3, tail_tol=5e-3)
+    ref = gramspec.generate_toeplitz_gaussian_rows(frac, 6, 40, seed=3)
+    assert dm.values.tobytes() == ref.values.tobytes()
 
 
 def test_generation_threads_are_capped_at_sixteen(monkeypatch):
@@ -415,11 +489,12 @@ def test_memory_budget_counts_the_output_and_batch_buffers():
 
 
 def test_memory_budget_counts_each_generator_at_its_peak():
-    # Toeplitz rows hold the normals, the rows and the p x p root; the
+    # Toeplitz rows hold the output, one row per thread's three buffers at
+    # the embedding order m = 40 for p = 20, and the m/2 + 1 roots; the
     # lower triangle holds the n x n rows, their triangle, its n x n byte
     # mask and one row per thread's buffers (nfft = 15 for n = 12, 2 taps)
     f = gramspec.ar1_density(0.5, 1.0)
-    need = 10 * 2 * 20 + 20 * 20
+    need = 10 * 20 + 10 * 3 * 1 * 40 + 21
     gramspec.generate_toeplitz_gaussian_rows(f, 10, 20, seed=1, budget=need)
     with pytest.raises(MemoryBudgetError, match=f"needs {need} float64"):
         gramspec.generate_toeplitz_gaussian_rows(f, 10, 20, seed=1,

@@ -1,6 +1,8 @@
 """The numeric kernels: eigensolver steps and the limit-equation solve."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,34 @@ from gramspec.errors import EigenNonConvergence
 
 def test_backend_reports_a_known_name():
     assert gramspec.backend_name() == "numpy"
+
+
+def _linalg_uses(tree):
+    # every np.linalg / numpy.linalg attribute and every import of it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            yield node.lineno
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.linalg") for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.linalg")
+                or (node.module == "numpy"
+                    and any(a.name == "linalg" for a in node.names))):
+            yield node.lineno
+
+
+def test_no_module_uses_numpy_linalg():
+    # the package's spectra come from its own eigensolver and its rows from
+    # FFTs; numpy.linalg (LAPACK) is only the tests' oracle
+    assert sorted(_linalg_uses(ast.parse("import numpy as np\n"
+                                       "w = np.linalg.eigh(a)\n"
+                                       "from numpy import linalg\n"))) \
+        == [2, 3]
+    src = Path(gramspec.__file__).resolve().parent
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := sorted(_linalg_uses(ast.parse(path.read_text()))))}
+    assert found == {}
 
 
 def test_warm_up_is_idempotent():

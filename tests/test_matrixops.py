@@ -318,7 +318,7 @@ def test_esd_cdf_step_values():
     e = gramspec.Esd(np.array([1.0, 2.0, 2.0, 5.0]))
     assert e.n == 4
     xs = np.array([0.5, 1.0, 1.5, 2.0, 4.9, 5.0, 9.0])
-    np.testing.assert_allclose(gramspec.esd_cdf(e, xs),
+    np.testing.assert_allclose(gramspec.StepCdf.from_esd(e).value(xs),
                                [0, 0.25, 0.25, 0.75, 0.75, 1.0, 1.0])
 
 
