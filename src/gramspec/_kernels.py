@@ -635,10 +635,12 @@ def fixed_point(z, g, w, s0, tol, max_iter):
     shrinks |F|.  Returns (s, residual, iterations, status).
     """
     z = complex(z)
-    g = np.asarray(g, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    # nodes and weights made complex once per call, so that an iteration
+    # is one reciprocal and two complex dots with no cast
+    g = np.asarray(g, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
     s = complex(s0)
-    u = 1.0 / (s + g)
+    u = np.reciprocal(s + g)
     acc = complex(w @ u)
     for it in range(int(max_iter)):
         resid = abs(z + 1.0 / s - acc)
@@ -648,7 +650,7 @@ def fixed_point(z, g, w, s0, tol, max_iter):
         s_new = s - f / dfds if dfds != 0.0 else s
         newton = s_new.imag > 1e-14 and math.isfinite(abs(s_new))
         if newton:
-            u_new = 1.0 / (s_new + g)
+            u_new = np.reciprocal(s_new + g)
             acc_new = complex(w @ u_new)
             newton = abs(s_new + 1.0 / (z - acc_new)) < abs(f)
         if resid <= tol:
@@ -663,7 +665,7 @@ def fixed_point(z, g, w, s0, tol, max_iter):
         s = s - 0.5 * f
         if s.imag <= 1e-14:
             return s, resid, it, 2
-        u = 1.0 / (s + g)
+        u = np.reciprocal(s + g)
         acc = complex(w @ u)
     return s, abs(z + 1.0 / s - acc), int(max_iter), 1
 

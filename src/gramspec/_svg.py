@@ -41,13 +41,9 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 
 
 def _staircase(xs: np.ndarray, ys: np.ndarray):
-    # right-continuous step curve: horizontal run then vertical rise
-    out_x = [xs[0]]
-    out_y = [ys[0]]
-    for i in range(1, len(xs)):
-        out_x.extend([xs[i], xs[i]])
-        out_y.extend([ys[i - 1], ys[i]])
-    return np.asarray(out_x), np.asarray(out_y)
+    # right-continuous step curve: horizontal run then vertical rise, so
+    # x0, x1, x1, x2, x2, ... against y0, y0, y1, y1, y2, ...
+    return np.repeat(xs, 2)[1:], np.repeat(ys, 2)[:-1]
 
 
 def write_overlay(path, curves, *, title: str, x_label: str,
@@ -72,7 +68,10 @@ def write_overlay(path, curves, *, title: str, x_label: str,
     ph = _H - _MT - _MB
 
     def px(v):
-        return _ML + (v - x_lo) / (x_hi - x_lo) * pw if x_hi > x_lo else _ML
+        # v a float or an array; a flat x range maps to the left margin
+        if x_hi > x_lo:
+            return _ML + (v - x_lo) / (x_hi - x_lo) * pw
+        return np.full(np.shape(v), float(_ML))
 
     def py(v):
         return _MT + ph - (v - y_lo) / (y_hi - y_lo) * ph
@@ -110,7 +109,9 @@ def write_overlay(path, curves, *, title: str, x_label: str,
                  f'fill="#1f2328" transform="rotate(-90 18 '
                  f'{_MT + ph // 2})">{y_label}</text>')
     for xs, ys, label, color in prepared:
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(xs, ys))
+        # every point mapped in one numpy pass, then formatted as floats
+        pts = " ".join(f"{_fmt(a)},{_fmt(b)}"
+                       for a, b in zip(px(xs).tolist(), py(ys).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.6"/>')
     ly = _MT + 16

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels, _svg
+from . import _arrays, _kernels, _svg
 from .ensemble import (DataMatrix, InnovationLaw, gaussian_law,
                        generate_linear_rows, generate_toeplitz_gaussian_rows,
                        law_from_spec, read_datamatrix, row_route,
@@ -351,25 +351,21 @@ def _seed_esd(cfg: ExperimentConfig, seed: int, filt, save_dir=None,
     return gram_eigenvalues(dm.values, dm.n_rows)
 
 
-def _ensemble_filter(cfg: ExperimentConfig):
-    if cfg.ensemble_kind == "toeplitz-gaussian" or cfg.load_matrices:
-        return None
-    return filter_from_density(cfg.density, tail_tol=cfg.tail_tol)
-
-
 def _row_source(cfg: ExperimentConfig):
     # The filter that drives compare's and simulate's rows (None for the
     # circulant embedding) and the manifest's record of that route, which
-    # is None for loaded matrices.
+    # is None for loaded matrices.  The route builds the filter only when
+    # the rows use it.
     if cfg.load_matrices:
         return None, None
-    filt = _ensemble_filter(cfg)
-    route, length = row_route(cfg.density, cfg.n_cols, filt, cfg.law)
+    tail_tol = None if cfg.ensemble_kind == "toeplitz-gaussian" \
+        else cfg.tail_tol
+    route, length, filt = row_route(cfg.density, cfg.n_cols, tail_tol,
+                                    cfg.law)
     record = {"route": route, "fft_length": length}
-    if route == "circulant":
-        return None, record
-    record.update(filter_half_length=filt.offset,
-                  filter_tail_bound=filt.tail_bound)
+    if filt is not None:
+        record.update(filter_half_length=filt.offset,
+                      filter_tail_bound=filt.tail_bound)
     return filt, record
 
 
@@ -380,7 +376,7 @@ def _grid_for(cfg: ExperimentConfig, f: SpectralDensity, c: float):
 
 def _h_window(f: SpectralDensity) -> np.ndarray:
     v = probe_values(f)
-    top = float(np.quantile(v, 1.0 - 1e-4)) * 1.5 + 1e-12
+    top = float(_arrays.quantiles(v, 1.0 - 1e-4)) * 1.5 + 1e-12
     return np.linspace(0.0, top, 1200)
 
 
@@ -558,7 +554,7 @@ def _cmd_universality(cfg: ExperimentConfig, stage: str):
         cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
     _limit_csv(stage, limit)
     limit_cdf = StepCdf.from_limit(limit)
-    filt = _ensemble_filter(cfg)
+    filt = filter_from_density(cfg.density, tail_tol=cfg.tail_tol)
     jobs = [(i, law, seed) for i, law in enumerate(cfg.laws)
             for seed in cfg.seeds]
 

@@ -13,8 +13,9 @@ FFT of that row, and irfft(sqrt(lambda) * rfft(e), m)[:p] is exactly
 N(0, Gamma_p) for m standard normals e.  An embedding with an eigenvalue
 below -1e-8 max lambda is refused with DomainError; smaller negative ones
 are clipped to 0.  ``row_route`` is the one rule that picks between the
-two for Gaussian rows of a density: the embedding whenever it is shorter
-than the filter's FFT and nonnegative.
+two for Gaussian rows of a density, and builds the filter only when it is
+used: the filter when it certifies at an FFT length no longer than the
+embedding, else the embedding if it is nonnegative.
 
 Generation does not build a generator per row: each generating thread
 keeps one Philox generator and re-keys it for every row by setting its
@@ -55,8 +56,8 @@ import numpy as np
 
 from .errors import DomainError, MemoryBudgetError
 from .matrixops import SymMatrix
-from .spectral import (LinearFilter, SpectralDensity, covariance_sequence,
-                       filter_from_density)
+from .spectral import (LinearFilter, SpectralDensity, _filter_walk,
+                       covariance_sequence, filter_from_density)
 
 # Default generation budget, in float64 slots (1 GiB).
 DEFAULT_BUDGET = 2 ** 27
@@ -357,14 +358,12 @@ def generate_gaussian_rows(f: SpectralDensity, n_rows: int, n_cols: int,
                            seed: int, *, tail_tol: float = 1e-6,
                            stream: int = 0,
                            budget: int = DEFAULT_BUDGET) -> DataMatrix:
-    """Gaussian rows for the density f, routed by ``row_route``.
-
-    The filter is built on demand; the rows come from the circulant
-    embedding (``generate_toeplitz_gaussian_rows``) when that is shorter
-    than the filter's FFT and nonnegative, else from the filter.
-    """
-    filt = filter_from_density(f, tail_tol=tail_tol)
-    if row_route(f, n_cols, filt)[0] == "circulant":
+    """Gaussian rows for the density f, routed by ``row_route``: from the
+    circulant embedding (``generate_toeplitz_gaussian_rows``) unless a
+    filter no longer than the embedding certifies or the embedding is
+    indefinite, else from the filter."""
+    filt = row_route(f, n_cols, tail_tol)[2]
+    if filt is None:
         return generate_toeplitz_gaussian_rows(f, n_rows, n_cols, seed,
                                                stream=stream, budget=budget)
     return generate_linear_rows(filt, gaussian_law(), n_rows, n_cols, seed,
@@ -402,26 +401,37 @@ def _embedding(f: SpectralDensity, p: int) -> tuple[np.ndarray | None, float]:
     return root, low
 
 
-def row_route(f: SpectralDensity, n_cols: int,
-              filt: LinearFilter | None = None,
+def row_route(f: SpectralDensity, n_cols: int, tail_tol: float | None = None,
               law: InnovationLaw = InnovationLaw("gaussian")
-              ) -> tuple[str, int]:
-    """How rows of the density f with n_cols columns are drawn.
+              ) -> tuple[str, int, LinearFilter | None]:
+    """How rows of the density f with n_cols columns are drawn, and the
+    one place that decides whether their filter is built.
 
-    Returns ("circulant", m), the circulant embedding of order m, or
-    ("filter", nfft), the filter filt at FFT length nfft.  Without a filter
-    it is the embedding.  With one, Gaussian-law rows take the embedding
-    when m < nfft and the embedding is nonnegative (it is computed and
-    cached to decide); other laws always drive the filter.
+    Returns ("circulant", m, None), the circulant embedding of order m, or
+    ("filter", nfft, filt), the filter_from_density(f, tail_tol) filter at
+    FFT length nfft.  Without a tail tolerance it is the embedding.  Other
+    laws than the Gaussian always drive the filter.  Gaussian rows take the
+    filter only if it certifies at a half-length K whose FFT length
+    _smooth_length(n_cols + 2K) is at most m, which filter_from_density's
+    own doubling of K is walked to find, stopping at the first K past m;
+    when no such K certifies they take the embedding if it is nonnegative
+    (computed and cached to decide), and otherwise the filter, however
+    long.
     """
     m = _embedding_length(n_cols)
-    if filt is None:
-        return "circulant", m
-    nfft = _smooth_length(n_cols + filt.coeffs.size - 1)
-    if law.tag == "gaussian" and m < nfft \
-            and _embedding(f, n_cols)[0] is not None:
-        return "circulant", m
-    return "filter", nfft
+    if tail_tol is None:
+        return "circulant", m, None
+    if law.tag == "gaussian":
+        def fits(k):  # the filter's FFT is no longer than the embedding
+            return _smooth_length(n_cols + 2 * k) <= m
+
+        if _filter_walk(f, tail_tol, fits)[0] is None \
+                and _embedding(f, n_cols)[0] is not None:
+            return "circulant", m, None
+    # the rows take the filter; filter_from_density builds it, finding
+    # the blocks a walk already computed in their cache
+    filt = filter_from_density(f, tail_tol)
+    return "filter", _smooth_length(n_cols + filt.coeffs.size - 1), filt
 
 
 def generate_toeplitz_gaussian_rows(f: SpectralDensity, n_rows: int,

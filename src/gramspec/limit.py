@@ -25,7 +25,6 @@ rounding error of the residual itself.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels, quadrature
+from . import _arrays, _kernels, quadrature
 from .errors import (DomainError, HerglotzLoss, NonConvergence,
                      QuadratureError, UniquenessError)
 from .spectral import (SpectralDensity, TWO_PI, _marks, _singular_in_half,
@@ -113,7 +112,7 @@ def _probe_points(g: np.ndarray) -> list[complex]:
     finite = g[g < 0.5 * _G_CAP]
     if finite.size == 0:
         finite = np.array([1.0])
-    qs = np.quantile(finite, [0.05, 0.25, 0.5, 0.75, 0.95])
+    qs = _arrays.quantiles(finite, [0.05, 0.25, 0.5, 0.75, 0.95])
     probes = []
     for q in qs:
         scale = 1.0 + q
@@ -247,9 +246,14 @@ def _level(f: SpectralDensity, c: float, settings: SolverSettings) -> int:
     return _certified_level(f, c, min(settings.quad_tol, 0.25 * settings.tol))
 
 
+@lru_cache(maxsize=64)
 def _folded_nodes(f: SpectralDensity, c: float, level: int):
+    # the level's nodes with the weights folded by c/pi, held once per
+    # (f, c, level) and read-only, as _nodes holds its own
     g, w = _nodes(f, level)
-    return g, w * (c / math.pi)
+    w = w * (c / math.pi)
+    w.flags.writeable = False
+    return g, w
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +443,15 @@ def _support(f: SpectralDensity, c: float, g, w) -> tuple[float, float]:
     return a, b
 
 
-def _antiderivative(s: complex, z: complex, g, w) -> complex:
-    """Phi = s z + log s - sum w log(s + g).  dPhi/ds is the residual
-    z + 1/s - sum w/(s + g), which vanishes on the solution branch, so
-    there dPhi/dz = s and Im Phi/pi is the companion CDF."""
-    return s * z + cmath.log(s) - complex(w @ np.log(s + g))
+def _antiderivative_imag(s: complex, z: complex, g, w) -> float:
+    """Im Phi for Phi = s z + log s - sum w log(s + g).  dPhi/ds is the
+    residual z + 1/s - sum w/(s + g), which vanishes on the solution
+    branch, so there dPhi/dz = s and Im Phi/pi is the companion CDF.  The
+    imaginary part of a principal log is the argument, so Im Phi is read as
+    Im(s z) + arg s - sum w atan2(Im s, Re s + g), one real pass over the
+    nodes and no complex log."""
+    return ((s * z).imag + math.atan2(s.imag, s.real)
+            - float(w @ np.arctan2(s.imag, s.real + g)))
 
 
 def invert_to_distribution(f: SpectralDensity, c: float, x_grid,
@@ -480,7 +488,7 @@ def invert_to_distribution(f: SpectralDensity, c: float, x_grid,
         s_prev = pt.s_under
         resid_max = max(resid_max, pt.residual)
         rho[j] = max((pt.s + atom0 / z).imag / math.pi, 0.0)
-        under = _antiderivative(pt.s_under, z, g, w).imag / math.pi
+        under = _antiderivative_imag(pt.s_under, z, g, w) / math.pi
         cdf[j] = (under - (1.0 - c)) / c
     edges = (a,) if math.isinf(b) else (a, b)
     return LimitDistribution(x, rho, cdf, atom0, c, edges, resid_max)
@@ -498,7 +506,7 @@ def default_x_grid(f: SpectralDensity, c: float,
         raise DomainError("aspect ratio c must be positive")
     check_grid_points(n_points)
     v = probe_values(f)
-    hi_q = float(np.quantile(v, 1.0 - 3e-4))
+    hi_q = float(_arrays.quantiles(v, 1.0 - 3e-4))
     top = 1.05 * hi_q * (1.0 + math.sqrt(c)) ** 2
     vmin = float(np.min(v))
     lower_edge = 0.25 * vmin * (1.0 - math.sqrt(c)) ** 2 if c < 1.0 else 0.0

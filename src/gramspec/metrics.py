@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _arrays, _kernels
 from .errors import DomainError
 from .matrixops import Esd, SymMatrix, gram_eigenvalues
 
@@ -181,7 +181,7 @@ def levy_distance(f: StepCdf, g: StepCdf) -> float:
 
 def kolmogorov_distance(f: StepCdf, g: StepCdf) -> float:
     """sup |F - G|, including the left-limit values at every breakpoint."""
-    ts = np.unique(np.concatenate((f.xs, g.xs)))
+    ts = _arrays.unique(np.concatenate((f.xs, g.xs)))
     best = 0.0
     for side in ("left", "right"):
         diff = np.abs(f._eval(ts, side) - g._eval(ts, side))

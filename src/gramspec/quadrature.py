@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _arrays
 from .errors import QuadratureError
 
 _BASE0 = 8       # uniform panels per segment (cells on [0, pi]) at level 0
@@ -175,7 +176,7 @@ def _marked_cells(marks, cells: int):
         return idx, np.empty(0), np.empty(0)
     rungs = np.concatenate([_ladder(m, m + side * 0.5 * math.pi)
                             for m in marks for side in (-1.0, 1.0)])
-    panels = [gauss_nodes(np.unique(np.concatenate(
+    panels = [gauss_nodes(_arrays.unique(np.concatenate(
                   ([lo, hi], rungs[(rungs > lo) & (rungs < hi)]))), _ORDER_OSC)
               for lo, hi in zip(bounds[idx], bounds[idx + 1])]
     return (idx, np.concatenate([x for x, _ in panels]),

@@ -313,23 +313,35 @@ def filter_from_density(f: SpectralDensity,
     tail_tol * c_0.  Raises TailToleranceUnreachable if that needs K beyond
     MAX_FILTER_HALF_LENGTH.
     """
+    filt, k, tail = _filter_walk(f, tail_tol, lambda k: True)
+    if filt is None:
+        raise TailToleranceUnreachable(
+            f"tail mass {tail:.3e} still above {tail_tol:.1e} * c0 at "
+            f"half-length K={k}; raising K past the hard cap "
+            f"{MAX_FILTER_HALF_LENGTH} is refused")
+    return filt
+
+
+def _filter_walk(f: SpectralDensity, tail_tol: float, fits):
+    # filter_from_density's doubling of K from 64 up to the hard cap, taken
+    # while fits(K) holds: the filter at the first K whose tail certifies,
+    # else None, with the K the walk stopped at and the last tail computed.
     check_tail_tol(tail_tol)
     c0 = covariance_from_density(f, 0)
     scale = 2.0 / math.sqrt(TWO_PI)
-    k = 64
-    while True:
+    k, tail = 64, math.inf
+    while fits(k):
         a = scale * _cosine_block(f, k, "root", 1e-10)
         sum_sq = a[0] ** 2 + 2.0 * float(np.dot(a[1:], a[1:]))
         tail = max(c0 - sum_sq, 0.0)
         if tail <= tail_tol * c0:
             coeffs = np.concatenate([a[:0:-1], a])
-            return LinearFilter(offset=k, coeffs=coeffs, tail_bound=tail)
+            return LinearFilter(offset=k, coeffs=coeffs, tail_bound=tail), \
+                k, tail
         if k >= MAX_FILTER_HALF_LENGTH:
-            raise TailToleranceUnreachable(
-                f"tail mass {tail:.3e} still above {tail_tol:.1e} * c0 at "
-                f"half-length K={k}; raising K past the hard cap "
-                f"{MAX_FILTER_HALF_LENGTH} is refused")
+            break
         k = min(2 * k, MAX_FILTER_HALF_LENGTH)
+    return None, k, tail
 
 
 def regularity_profile(filt: LinearFilter, m: int) -> float:

@@ -71,6 +71,72 @@ def mp_cdf(x_grid, c: float, sigma2: float = 1.0,
     return vals
 
 
+def _ar1_coefficients(phi: float, sigma2: float) -> tuple[float, float]:
+    # 1/(2 pi f) = alpha - beta cos(lam) for the AR(1) density
+    return (1.0 + phi * phi) / sigma2, 2.0 * phi / sigma2
+
+
+def _ar1_root(s: complex, alpha: float, beta: float) -> complex:
+    # r with r^2 = (s + alpha)^2 - beta^2 and Im r > 0 for Im s > 0, so
+    # that (1/pi) * integral over (0, pi) of dlam / (s + alpha - beta cos
+    # lam) = 1/r: each factor's principal root has its argument in
+    # (0, pi/2)
+    return cmath.sqrt(s + alpha - beta) * cmath.sqrt(s + alpha + beta)
+
+
+def ar1_transform(z: complex, c: float, phi: float,
+                  sigma2: float = 1.0) -> complex:
+    """Companion Stieltjes transform of the limit for the AR(1) density.
+
+    With 1/(2 pi f) = alpha - beta cos(lam), the limiting equation
+    z = -1/s + (c/pi) * integral over (0, pi) of dlam / (s + 1/(2 pi f))
+    reads z = -1/s + c/r, r^2 = (s + alpha)^2 - beta^2, so s is a root of
+    the quartic ((s + alpha)^2 - beta^2) (z s + 1)^2 = c^2 s^2: the one in
+    the upper half-plane that solves the unsquared equation, polished by
+    Newton steps on it."""
+    alpha, beta = _ar1_coefficients(phi, sigma2)
+    quad = np.array([1.0, 2.0 * alpha, alpha * alpha - beta * beta])
+    quartic = np.polymul(quad, np.array([z * z, 2.0 * z, 1.0]))
+    quartic[2] -= c * c
+
+    def resid(s):
+        return z + 1.0 / s - c / _ar1_root(s, alpha, beta)
+
+    upper = [complex(s) for s in np.roots(quartic) if s.imag > 0]
+    if not upper:
+        raise AssertionError(f"no upper-half-plane root at z={z!r}")
+    s = min(upper, key=lambda s: abs(resid(s)))
+    for _ in range(3):
+        r = _ar1_root(s, alpha, beta)
+        slope = -1.0 / (s * s) + c * (s + alpha) / r ** 3
+        s -= resid(s) / slope
+    return s
+
+
+def ar1_limit(x, c: float, phi: float, sigma2: float = 1.0,
+              eta: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Density and CDF of the AR(1) limit at z = x + i eta x, read off the
+    closed forms: the density is Im s_plain / pi with the zero atom
+    max(0, 1 - 1/c) taken out, s_plain = (s + (1 - c)/z)/c; the CDF is
+    ((Im Phi)/pi - (1 - c))/c for the antiderivative
+    Phi = s z + log s - c log((s + alpha + r)/2), which uses
+    (1/pi) * integral over (0, pi) of log(A - B cos lam) dlam
+    = log((A + sqrt(A^2 - B^2))/2)."""
+    alpha, beta = _ar1_coefficients(phi, sigma2)
+    atom0 = max(0.0, 1.0 - 1.0 / c)
+    xs = np.asarray(x, dtype=float)
+    rho = np.empty(xs.shape)
+    cdf = np.empty(xs.shape)
+    for i, xv in enumerate(xs):
+        z = complex(xv, eta * xv)
+        s = ar1_transform(z, c, phi, sigma2)
+        rho[i] = ((s + (1.0 - c) / z) / c + atom0 / z).imag / math.pi
+        r = _ar1_root(s, alpha, beta)
+        phi_z = s * z + cmath.log(s) - c * cmath.log(0.5 * (s + alpha + r))
+        cdf[i] = (phi_z.imag / math.pi - (1.0 - c)) / c
+    return rho, cdf
+
+
 def ar1_covariance(k: int, phi: float, sigma2: float = 1.0) -> float:
     """Autocovariance of the stationary AR(1) recursion."""
     return sigma2 * phi ** abs(k) / (1.0 - phi * phi)

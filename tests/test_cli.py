@@ -459,3 +459,32 @@ def test_compare_records_the_row_route(tmp_path, monkeypatch, density,
         expect.update(filter_half_length=filt.offset,
                       filter_tail_bound=filt.tail_bound)
     assert rows == expect
+
+
+_MASKED_SCRIPT = """
+import sys
+from gramspec import cli
+for sub, path in zip(("compare", "solve"), sys.argv[1:3]):
+    assert cli.main([sub, "--config", path, "--output-root", sys.argv[3]]) == 0
+print(sorted(m for m in sys.modules
+             if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_compare_and_solve_never_import_numpy_ma(tmp_path):
+    # numpy's quantile and unique import numpy.ma (about 12 ms) on first
+    # use; a compare on a singular density (its quadrature splits cells at
+    # the singularity) and a solve with a default grid must not pay it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gramspec.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    compare = _write(tmp_path, dict(SIM_CFG, name="t-ma",
+                                    density={"family": "fractional",
+                                             "d": 0.3}), "compare.json")
+    solve = _write(tmp_path, SOLVE_CFG, "solve.json")
+    done = subprocess.run(
+        [sys.executable, "-c", _MASKED_SCRIPT, str(compare), str(solve),
+         str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

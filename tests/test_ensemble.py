@@ -373,10 +373,9 @@ def test_indefinite_embedding_raises_a_typed_error():
     f = gramspec.tabulated_density(*VANISHING_TABLE)
     with pytest.raises(DomainError, match=r"min eigenvalue -1\.1\d*e-03"):
         gramspec.generate_toeplitz_gaussian_rows(f, 10, 50, seed=1)
-    filt = gramspec.filter_from_density(f, tail_tol=1e-3)
-    assert filt.coeffs.size == 129
-    assert ensemble.row_route(f, 50, filt) == ("filter", 180)
-    assert ensemble.row_route(f, 50) == ("circulant", 100)
+    route, nfft, filt = ensemble.row_route(f, 50, 1e-3)
+    assert (route, nfft, filt.coeffs.size) == ("filter", 180, 129)
+    assert ensemble.row_route(f, 50) == ("circulant", 100, None)
 
 
 def test_gaussian_rows_take_the_shorter_route():
@@ -384,17 +383,89 @@ def test_gaussian_rows_take_the_shorter_route():
     # FFT (8640), while the iid filter's FFT at 1,000 columns (1152) is
     # shorter than the embedding (2000); other laws keep the filter
     frac = gramspec.fractional_density(0.3)
-    filt = gramspec.filter_from_density(frac, tail_tol=5e-3)
-    assert ensemble.row_route(frac, 400, filt) == ("circulant", 800)
-    assert ensemble.row_route(frac, 400, filt, gramspec.rademacher_law()) \
-        == ("filter", 8640)
+    assert ensemble.row_route(frac, 400, 5e-3) == ("circulant", 800, None)
+    route, nfft, filt = ensemble.row_route(frac, 400, 5e-3,
+                                           gramspec.rademacher_law())
+    assert (route, nfft, filt.offset) == ("filter", 8640, 4096)
     const = gramspec.constant_density()
-    assert ensemble.row_route(const, 1000,
-                              gramspec.filter_from_density(const)) \
-        == ("filter", 1152)
+    route, nfft, filt = ensemble.row_route(const, 1000, 1e-6)
+    assert (route, nfft, filt.offset) == ("filter", 1152, 64)
     dm = gramspec.generate_gaussian_rows(frac, 6, 40, seed=3, tail_tol=5e-3)
     ref = gramspec.generate_toeplitz_gaussian_rows(frac, 6, 40, seed=3)
     assert dm.values.tobytes() == ref.values.tobytes()
+
+
+def test_route_builds_no_filter_longer_than_the_embedding(monkeypatch):
+    # compare_longmem's rows (d = 0.3, 400 columns, tail 5e-3): past
+    # K = 128 the filter's FFT (960 at K = 256) is longer than the
+    # embedding of order 800, so no longer root block is computed
+    from gramspec import spectral
+
+    built = []
+    cached = spectral._cosine_block
+
+    def record(f, k_cap, kind, rel_tol):
+        built.append((kind, k_cap))
+        return cached(f, k_cap, kind, rel_tol)
+
+    monkeypatch.setattr(spectral, "_cosine_block", record)
+    frac = gramspec.fractional_density(0.3)
+    assert ensemble.row_route(frac, 400, 5e-3) == ("circulant", 800, None)
+    assert sorted(k for kind, k in built if kind == "root") == [64, 128]
+
+
+def test_route_takes_a_short_filter_without_the_embedding(monkeypatch):
+    # simulate_iid's rows: the 129-tap iid filter (FFT 1152) beats the
+    # embedding of order 2000, which is never computed
+    def refuse(f, p):
+        raise AssertionError("embedding computed")
+
+    monkeypatch.setattr(ensemble, "_embedding", refuse)
+    route, nfft, filt = ensemble.row_route(gramspec.constant_density(),
+                                           1000, 1e-6)
+    assert (route, nfft, filt.coeffs.size) == ("filter", 1152, 129)
+
+
+@pytest.mark.parametrize("f, tail_tol, expect", [
+    (gramspec.fractional_density(0.3), 5e-3, "circulant"),
+    (gramspec.ar1_density(0.5), 1e-6, "filter"),
+], ids=["fractional", "ar1"])
+def test_gaussian_rows_keep_the_bytes_of_their_route(f, tail_tol, expect):
+    # the route decides as it did when it was handed the whole filter, so
+    # the rows are those of the embedding or of the filter it names
+    dm = gramspec.generate_gaussian_rows(f, 6, 400, seed=11,
+                                         tail_tol=tail_tol)
+    if expect == "circulant":
+        ref = gramspec.generate_toeplitz_gaussian_rows(f, 6, 400, seed=11)
+    else:
+        filt = gramspec.filter_from_density(f, tail_tol)
+        assert ensemble._smooth_length(400 + filt.coeffs.size - 1) <= 800
+        ref = gramspec.generate_linear_rows(filt, gramspec.gaussian_law(), 6,
+                                            400, seed=11)
+    assert dm.values.tobytes() == ref.values.tobytes()
+
+
+def test_route_takes_the_embedding_when_no_filter_certifies(monkeypatch):
+    # with the half-length capped at 128, the d = 0.3 filter cannot reach
+    # a 1e-6 tail, but the embedding is nonnegative: Gaussian rows take
+    # it, where other laws, and a density whose embedding is indefinite,
+    # still meet the filter's refusal
+    from gramspec import spectral
+    from gramspec.errors import TailToleranceUnreachable
+
+    monkeypatch.setattr(spectral, "MAX_FILTER_HALF_LENGTH", 128)
+    frac = gramspec.fractional_density(0.3)
+    with pytest.raises(TailToleranceUnreachable, match="K=128"):
+        gramspec.filter_from_density(frac, 1e-6)
+    assert ensemble.row_route(frac, 400, 1e-6) == ("circulant", 800, None)
+    dm = gramspec.generate_gaussian_rows(frac, 4, 400, seed=2, tail_tol=1e-6)
+    ref = gramspec.generate_toeplitz_gaussian_rows(frac, 4, 400, seed=2)
+    assert dm.values.tobytes() == ref.values.tobytes()
+    with pytest.raises(TailToleranceUnreachable, match="K=128"):
+        ensemble.row_route(frac, 400, 1e-6, gramspec.rademacher_law())
+    table = gramspec.tabulated_density(*VANISHING_TABLE)
+    with pytest.raises(TailToleranceUnreachable, match="K=128"):
+        ensemble.row_route(table, 50, 1e-12)
 
 
 def test_generation_threads_are_capped_at_sixteen(monkeypatch):

@@ -9,7 +9,8 @@ import gramspec
 from gramspec import _kernels, limit
 from gramspec.errors import DomainError
 
-from _oracles import mp_cdf, mp_density, mp_edges, mp_transform
+from _oracles import (ar1_limit, mp_cdf, mp_density, mp_edges,
+                      mp_transform)
 
 
 FAST = gramspec.SolverSettings(tol=1e-9, quad_tol=1e-7)
@@ -216,6 +217,27 @@ def test_inversion_is_exact_for_constant_density(c):
         assert lim.edges[0] == 0.0
     outside = (grid <= lo) | (grid >= hi)
     assert np.all(lim.density[outside] == 0.0)
+
+
+@pytest.mark.parametrize("phi, c", [(0.7, 0.5), (0.95, 0.5), (0.9, 2.0)])
+def test_inversion_matches_the_ar1_closed_form(phi, c):
+    # the AR(1) limit in closed form (quartic root, and the antiderivative
+    # from (1/pi) int log(A - B cos) = log((A + sqrt(A^2 - B^2))/2)) at the
+    # package's own evaluation points x + i 1e-8 x; it pins the CDF read
+    # off arguments, the sum of w arg(s + g) term included
+    f = gramspec.ar1_density(phi)
+    grid = gramspec.default_x_grid(f, c, 200)
+    lim = gramspec.invert_to_distribution(f, c, grid)
+    rho, cdf = ar1_limit(grid, c, phi, eta=1e-8)
+    inside = lim.density > 0
+    assert inside.sum() >= 40
+    np.testing.assert_allclose(lim.density[inside], rho[inside], rtol=1e-8,
+                               atol=0.0)
+    # outside the package's support the closed form is O(1e-8) too
+    assert np.all(rho[~inside] <= 1e-6)
+    assert float(np.max(np.abs(lim.cdf - cdf))) <= 1e-6
+    assert abs(lim.total_mass - cdf[-1]) <= 1e-6
+    assert abs(lim.total_mass - 1.0) <= 1e-6
 
 
 def test_long_memory_limit_has_one_edge():
