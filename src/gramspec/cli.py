@@ -24,11 +24,11 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,23 +38,34 @@ from .ensemble import (DataMatrix, InnovationLaw, gaussian_law,
                        law_from_spec, read_datamatrix, row_route,
                        toeplitz_matrix, write_datamatrix, DEFAULT_BUDGET)
 from .errors import ConfigError, GramspecError
-from .limit import (LimitDistribution, SolverSettings, check_caps,
-                    check_grid_points, check_x_grid, default_x_grid,
-                    invert_to_distribution, solve_limit_density,
-                    truncation_ladder)
+from .limit import (DEFAULT_GRID_POINTS, LimitDistribution, SolverSettings,
+                    check_caps, check_grid_points, check_x_grid,
+                    default_x_grid, invert_to_distribution,
+                    solve_limit_density, truncation_ladder)
 from .matrixops import Esd, gram_eigenvalues, symmetric_eigenvalues
 from .metrics import StepCdf, kolmogorov_distance, levy_distance
-from .spectral import (SpectralDensity, check_tail_tol, density_from_spec,
-                       filter_from_density, h_pushforward, probe_values)
+from .spectral import (DEFAULT_TAIL_TOL, SpectralDensity, check_tail_tol,
+                       density_from_spec, filter_from_density, h_pushforward,
+                       probe_values)
 
 _COMMANDS = ("solve", "simulate", "compare", "toeplitz", "universality",
              "truncation")
 
 _ALLOWED_KEYS = {
     "name", "density", "aspect", "seeds", "law", "laws", "tail_tol",
-    "ensemble", "solver", "grid", "z_line", "thresholds",
+    "solver", "grid", "z_line", "thresholds",
     "caps", "workers", "budget", "toeplitz", "save_matrices",
     "load_matrices",
+}
+
+# The keys each section may hold, and the word its unknown-key error uses.
+_SECTION_KEYS = {
+    "solver": ("solver", {"tol", "quad_tol"}),
+    "grid": ("grid", {"n_points", "x"}),
+    "z_line": ("z_line", {"re_min", "re_max", "count", "im"}),
+    "thresholds": ("threshold", {"levy", "kolmogorov", "cross_levy",
+                                 "gap_ratio"}),
+    "toeplitz": ("toeplitz", {"p"}),
 }
 
 
@@ -71,7 +82,6 @@ class ExperimentConfig:
     law: InnovationLaw
     laws: tuple[InnovationLaw, ...]
     tail_tol: float
-    ensemble_kind: str
     solver: SolverSettings
     grid_points: int
     x_grid: np.ndarray | None
@@ -85,10 +95,10 @@ class ExperimentConfig:
     load_matrices: str | None
 
     @property
-    def aspect_ratio(self) -> Fraction:
-        if self.n_rows is None or self.n_cols is None:
-            raise ConfigError(["this command needs an 'aspect' section"])
-        return Fraction(self.n_cols, self.n_rows)
+    def aspect_ratio(self) -> float:
+        """c = p / n, correctly rounded; commands read it after
+        _require(..., "aspect")."""
+        return self.n_cols / self.n_rows
 
 
 def canonical_json(raw: dict) -> str:
@@ -97,6 +107,19 @@ def canonical_json(raw: dict) -> str:
 
 def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()
+
+
+def _section(raw: dict, key: str) -> dict:
+    # The mapping under key ({} when absent); ValueError if it is not a
+    # mapping or holds a key the section does not take.
+    noun, allowed = _SECTION_KEYS[key]
+    sec = raw.get(key, {})
+    if not isinstance(sec, dict):
+        raise ValueError("must be a mapping")
+    extra = set(sec) - allowed
+    if extra:
+        raise ValueError(f"unknown {noun} keys {sorted(extra)}")
+    return sec
 
 
 def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
@@ -161,32 +184,22 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
                          else law_from_spec({"law": s}) for s in specs)
         laws = grab(_laws, "bad 'laws'") or ()
 
-    tail_tol = grab(lambda: check_tail_tol(raw.get("tail_tol", 1e-6)),
-                    "bad 'tail_tol'") or 1e-6
-
-    ensemble_kind = raw.get("ensemble", "filter")
-    if ensemble_kind not in ("filter", "toeplitz-gaussian"):
-        errors.append("'ensemble' must be 'filter' or 'toeplitz-gaussian'")
-        ensemble_kind = "filter"
+    tail_tol = grab(
+        lambda: check_tail_tol(raw.get("tail_tol", DEFAULT_TAIL_TOL)),
+        "bad 'tail_tol'") or DEFAULT_TAIL_TOL
 
     def _solver():
-        s = raw.get("solver", {})
-        extra = set(s) - {"tol", "quad_tol"}
-        if extra:
-            raise ValueError(f"unknown solver keys {sorted(extra)}")
-        return SolverSettings(tol=float(s.get("tol", 1e-12)),
-                              quad_tol=float(s.get("quad_tol", 1e-10)))
+        s = _section(raw, "solver")
+        return SolverSettings(**{k: float(v) for k, v in s.items()})
     solver = grab(_solver, "bad 'solver'") or SolverSettings()
 
-    grid_points = 480
+    grid_points = DEFAULT_GRID_POINTS
     x_grid = None
     if "grid" in raw:
         def _grid():
-            g = raw["grid"]
-            extra = set(g) - {"n_points", "x"}
-            if extra:
-                raise ValueError(f"unknown grid keys {sorted(extra)}")
-            pts = check_grid_points(int(g.get("n_points", 480)))
+            g = _section(raw, "grid")
+            pts = check_grid_points(int(g.get("n_points",
+                                              DEFAULT_GRID_POINTS)))
             xg = check_x_grid(g["x"]) if "x" in g else None
             return pts, xg
         got = grab(_grid, "bad 'grid'")
@@ -196,10 +209,7 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     z_line = None
     if "z_line" in raw:
         def _zline():
-            zl = raw["z_line"]
-            extra = set(zl) - {"re_min", "re_max", "count", "im"}
-            if extra:
-                raise ValueError(f"unknown z_line keys {sorted(extra)}")
+            zl = _section(raw, "z_line")
             out = {"re_min": float(zl["re_min"]),
                    "re_max": float(zl["re_max"]),
                    "count": int(zl.get("count", 40)),
@@ -212,10 +222,7 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
         z_line = grab(_zline, "bad 'z_line'")
 
     def _thresholds():
-        th = raw.get("thresholds", {})
-        extra = set(th) - {"levy", "kolmogorov", "cross_levy", "gap_ratio"}
-        if extra:
-            raise ValueError(f"unknown threshold keys {sorted(extra)}")
+        th = _section(raw, "thresholds")
         out = {k: float(v) for k, v in th.items()}
         if not all(v > 0 for v in out.values()):
             raise ValueError("thresholds must be positive")
@@ -238,10 +245,7 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     toeplitz_order = None
     if "toeplitz" in raw:
         def _toe():
-            t = raw["toeplitz"]
-            extra = set(t) - {"p"}
-            if extra:
-                raise ValueError(f"unknown toeplitz keys {sorted(extra)}")
+            t = _section(raw, "toeplitz")
             p = int(t["p"])
             if p < 2:
                 raise ValueError("toeplitz.p must be >= 2")
@@ -262,7 +266,7 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     return ExperimentConfig(
         raw=raw, name=name, density=density, n_rows=n_rows, n_cols=n_cols,
         seeds=seeds, law=law, laws=laws,
-        tail_tol=tail_tol, ensemble_kind=ensemble_kind, solver=solver,
+        tail_tol=tail_tol, solver=solver,
         grid_points=grid_points, x_grid=x_grid,
         z_line=z_line, thresholds=thresholds, caps=caps, workers=workers,
         budget=budget, toeplitz_order=toeplitz_order,
@@ -358,9 +362,7 @@ def _row_source(cfg: ExperimentConfig):
     # the rows use it.
     if cfg.load_matrices:
         return None, None
-    tail_tol = None if cfg.ensemble_kind == "toeplitz-gaussian" \
-        else cfg.tail_tol
-    route, length, filt = row_route(cfg.density, cfg.n_cols, tail_tol,
+    route, length, filt = row_route(cfg.density, cfg.n_cols, cfg.tail_tol,
                                     cfg.law)
     record = {"route": route, "fft_length": length}
     if filt is not None:
@@ -387,10 +389,10 @@ def _cmd_solve(cfg: ExperimentConfig, stage: str):
     _require(cfg, "solve", "density", "aspect")
     if cfg.z_line is None and "grid" not in cfg.raw:
         raise ConfigError(["command 'solve' needs 'z_line' and/or 'grid'"])
-    c = float(cfg.aspect_ratio)
+    c = cfg.aspect_ratio
     f = cfg.density
-    result = {"aspect_ratio": [cfg.aspect_ratio.numerator,
-                               cfg.aspect_ratio.denominator]}
+    common = math.gcd(cfg.n_cols, cfg.n_rows)
+    result = {"aspect_ratio": [cfg.n_cols // common, cfg.n_rows // common]}
     if cfg.z_line is not None:
         zl = cfg.z_line
         res = np.linspace(zl["re_min"], zl["re_max"], zl["count"])
@@ -461,7 +463,7 @@ def _cmd_simulate(cfg: ExperimentConfig, stage: str):
 
 def _cmd_compare(cfg: ExperimentConfig, stage: str):
     _require(cfg, "compare", "density", "aspect", "seeds")
-    c = float(cfg.aspect_ratio)
+    c = cfg.aspect_ratio
     limit = invert_to_distribution(
         cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
     _limit_csv(stage, limit)
@@ -538,18 +540,16 @@ def _cmd_toeplitz(cfg: ExperimentConfig, stage: str):
 
 def _cmd_universality(cfg: ExperimentConfig, stage: str):
     _require(cfg, "universality", "density", "aspect", "seeds", "laws")
-    # every law drives the density's filter on fresh rows, so the other
-    # row sources and the matrix cache have nothing to act on
+    # every law drives the density's filter on fresh rows, so the matrix
+    # cache has nothing to act on
     unread = []
-    if cfg.ensemble_kind != "filter":
-        unread.append("'ensemble' must be 'filter'")
     if cfg.load_matrices is not None:
         unread.append("'load_matrices' is not read")
     if cfg.save_matrices:
         unread.append("'save_matrices' is not read")
     if unread:
         raise ConfigError([f"command 'universality': {m}" for m in unread])
-    c = float(cfg.aspect_ratio)
+    c = cfg.aspect_ratio
     limit = invert_to_distribution(
         cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
     _limit_csv(stage, limit)
@@ -613,7 +613,7 @@ def _cmd_universality(cfg: ExperimentConfig, stage: str):
 
 def _cmd_truncation(cfg: ExperimentConfig, stage: str):
     _require(cfg, "truncation", "density", "aspect", "caps")
-    c = float(cfg.aspect_ratio)
+    c = cfg.aspect_ratio
     ladder = truncation_ladder(cfg.density, c, cfg.caps, cfg.solver,
                                n_points=cfg.grid_points)
     rows = []

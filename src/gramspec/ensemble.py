@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import DomainError, MemoryBudgetError
 from .matrixops import SymMatrix
-from .spectral import (LinearFilter, SpectralDensity, _filter_walk,
-                       covariance_sequence, filter_from_density)
+from .spectral import (DEFAULT_TAIL_TOL, LinearFilter, SpectralDensity,
+                       _filter_walk, covariance_sequence, filter_from_density)
 
 # Default generation budget, in float64 slots (1 GiB).
 DEFAULT_BUDGET = 2 ** 27
@@ -355,7 +355,7 @@ def generate_linear_rows(filt: LinearFilter, law: InnovationLaw, n_rows: int,
 
 
 def generate_gaussian_rows(f: SpectralDensity, n_rows: int, n_cols: int,
-                           seed: int, *, tail_tol: float = 1e-6,
+                           seed: int, *, tail_tol: float = DEFAULT_TAIL_TOL,
                            stream: int = 0,
                            budget: int = DEFAULT_BUDGET) -> DataMatrix:
     """Gaussian rows for the density f, routed by ``row_route``: from the
@@ -401,7 +401,7 @@ def _embedding(f: SpectralDensity, p: int) -> tuple[np.ndarray | None, float]:
     return root, low
 
 
-def row_route(f: SpectralDensity, n_cols: int, tail_tol: float | None = None,
+def row_route(f: SpectralDensity, n_cols: int, tail_tol: float,
               law: InnovationLaw = InnovationLaw("gaussian")
               ) -> tuple[str, int, LinearFilter | None]:
     """How rows of the density f with n_cols columns are drawn, and the
@@ -409,18 +409,15 @@ def row_route(f: SpectralDensity, n_cols: int, tail_tol: float | None = None,
 
     Returns ("circulant", m, None), the circulant embedding of order m, or
     ("filter", nfft, filt), the filter_from_density(f, tail_tol) filter at
-    FFT length nfft.  Without a tail tolerance it is the embedding.  Other
-    laws than the Gaussian always drive the filter.  Gaussian rows take the
-    filter only if it certifies at a half-length K whose FFT length
-    _smooth_length(n_cols + 2K) is at most m, which filter_from_density's
-    own doubling of K is walked to find, stopping at the first K past m;
-    when no such K certifies they take the embedding if it is nonnegative
-    (computed and cached to decide), and otherwise the filter, however
-    long.
+    FFT length nfft.  Other laws than the Gaussian always drive the
+    filter.  Gaussian rows take the filter only if it certifies at a
+    half-length K whose FFT length _smooth_length(n_cols + 2K) is at most
+    m, which filter_from_density's own doubling of K is walked to find,
+    stopping at the first K past m; when no such K certifies they take the
+    embedding if it is nonnegative (computed and cached to decide), and
+    otherwise the filter, however long.
     """
     m = _embedding_length(n_cols)
-    if tail_tol is None:
-        return "circulant", m, None
     if law.tag == "gaussian":
         def fits(k):  # the filter's FFT is no longer than the embedding
             return _smooth_length(n_cols + 2 * k) <= m

@@ -47,6 +47,8 @@ _EPS = float(np.finfo(np.float64).eps)
 _MAX_LEVEL = 9
 # Newton iterations one start may take before NonConvergence.
 _MAX_ITER = 10_000
+# Points of a default grid unless a caller sets them.
+DEFAULT_GRID_POINTS = 480
 
 
 @dataclass(frozen=True)
@@ -495,7 +497,7 @@ def invert_to_distribution(f: SpectralDensity, c: float, x_grid,
 
 
 def default_x_grid(f: SpectralDensity, c: float,
-                   n_points: int = 480) -> np.ndarray:
+                   n_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Geometric-then-linear grid sized from the transformed-density range.
 
     The upper end covers the (1 - 3e-4) quantile of 2 pi f scaled by the
@@ -547,7 +549,7 @@ def check_caps(caps) -> tuple[float, ...]:
 
 def truncation_ladder(f: SpectralDensity, c: float, caps,
                       settings: SolverSettings | None = None, *,
-                      n_points: int = 360) -> TruncationLadder:
+                      n_points: int = DEFAULT_GRID_POINTS) -> TruncationLadder:
     """Invert the limit for min(f, b) along an increasing ladder of caps b.
 
     Returns the per-cap limits, the Levy distance between consecutive rungs

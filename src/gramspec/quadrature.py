@@ -7,7 +7,7 @@ The weighted sum is Re sum_j e^{ik c_j} sum_p g_{p,j} e^{ikph}, whose inner
 sum has period 2M in k, so one real FFT of length 2M per offset serves
 every frequency.  The few cells touching a mark (a singularity or a kink)
 are cut by dyadic ladders toward it and summed node by node.  M doubles
-until two successive levels agree to the requested relative tolerance.
+until two successive levels agree to _REL_TOL relative.
 ``build_edges`` and ``gauss_nodes`` lay out the limit solver's panels.
 """
 
@@ -24,6 +24,7 @@ from .errors import QuadratureError
 _BASE0 = 8       # uniform panels per segment (cells on [0, pi]) at level 0
 _ORDER = 12      # Gauss-Legendre points per panel (gauss_nodes default)
 _ORDER_OSC = 16  # points per cell for oscillatory cosine transforms
+_REL_TOL = 1e-10  # cosine_coefficients' level-to-level agreement
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +184,7 @@ def _marked_cells(marks, cells: int):
             np.concatenate([w for _, w in panels]))
 
 
-def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
-                        eval_cap: int | None = None) -> np.ndarray:
+def cosine_coefficients(fn, k_max: int, *, singular=()) -> np.ndarray:
     """All C_k = integral of cos(k*x) * fn(x) over [0, pi], k = 0..k_max.
 
     Level L lays [0, pi] out as M = max(8, ceil(pi K / 18)) * 2^L equal
@@ -193,18 +193,17 @@ def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
     length 2M per offset; only the cells touching a point of `singular`
     (singularities and kinks) are summed node by node, by angle addition;
     each mark gets dyadic ladders over pi/2 on both sides, run to the
-    representable bound and the same at every level.  Each level is certified against the
-    previous one, and the finer one is returned.  Raises QuadratureError
-    past `eval_cap` integrand evaluations or after six levels.  The default
-    cap is 64 times the evaluations of level 0: the plain nodes double from
-    level to level and the ladder nodes do not grow, so six levels stay
-    within it and the level limit is the one that binds.
+    representable bound and the same at every level.  Each level is
+    certified against the previous one to _REL_TOL of the largest
+    coefficient, and the finer one is returned.  Raises QuadratureError
+    when six levels do not agree; together they evaluate fn at most 63
+    times as often on plain cells as level 0 does, and the ladder nodes
+    do not grow from level to level.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     marks = sorted({float(s) for s in singular if 0.0 <= s <= math.pi})
     xi, wi = _gl(_ORDER_OSC)
-    spent = 0
     prev = None
     for level in range(6):
         cells = max(_BASE0, math.ceil(math.pi * max(k_max, 1) / 18.0)) * 2**level
@@ -214,12 +213,6 @@ def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
         plain = np.ones(cells, dtype=bool)
         plain[marked] = False
         p_nodes = (np.arange(cells)[plain, None] * h + offsets).ravel()
-        spent += p_nodes.size + m_nodes.size
-        if eval_cap is None:
-            eval_cap = 64 * spent
-        if spent > eval_cap:
-            raise QuadratureError(
-                f"evaluation cap {eval_cap} exceeded in cosine transform")
         vals = _eval(fn, np.concatenate([p_nodes, m_nodes]))
         g = np.zeros((cells, _ORDER_OSC))
         g[plain] = vals[:p_nodes.size].reshape(-1, _ORDER_OSC) * (0.5 * h * wi)
@@ -227,7 +220,7 @@ def cosine_coefficients(fn, k_max: int, *, singular=(), rel_tol: float = 1e-10,
                + _cosine_sums(m_nodes, m_weights * vals[p_nodes.size:], k_max))
         if prev is not None:
             scale = max(float(np.max(np.abs(cur))), 1e-300)
-            if float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
+            if float(np.max(np.abs(cur - prev))) <= _REL_TOL * scale:
                 return cur
         prev = cur
     raise QuadratureError("cosine transform failed to converge")

@@ -28,6 +28,8 @@ TWO_PI = 2.0 * math.pi
 
 # Hard cap on the one-sided filter length K (coefficients run over |k| <= K).
 MAX_FILTER_HALF_LENGTH = 2**18
+# The filter's relative tail tolerance unless a caller sets one.
+DEFAULT_TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -220,14 +222,12 @@ def _level_set_ends(f: SpectralDensity, lo: float, hi: float, rising: bool,
 
 
 @lru_cache(maxsize=None)
-def _cosine_block(f: SpectralDensity, k_cap: int, kind: str,
-                  rel_tol: float) -> np.ndarray:
+def _cosine_block(f: SpectralDensity, k_cap: int, kind: str) -> np.ndarray:
     fn = {
         "density": lambda x: density_values(f, x),
         "root": lambda x: np.sqrt(density_values(f, x)),
     }[kind]
-    out = quadrature.cosine_coefficients(fn, k_cap, singular=_marks(f),
-                                         rel_tol=rel_tol)
+    out = quadrature.cosine_coefficients(fn, k_cap, singular=_marks(f))
     out.flags.writeable = False
     return out
 
@@ -237,7 +237,7 @@ def covariance_sequence(f: SpectralDensity, max_lag: int) -> np.ndarray:
     if max_lag < 0:
         raise DomainError("max_lag must be >= 0")
     k_cap = 1 << max(3, int(max_lag - 1).bit_length())
-    block = _cosine_block(f, k_cap, "density", 1e-10)
+    block = _cosine_block(f, k_cap, "density")
     return 2.0 * block[: max_lag + 1]
 
 
@@ -304,7 +304,7 @@ def check_tail_tol(tail_tol) -> float:
 
 
 def filter_from_density(f: SpectralDensity,
-                        tail_tol: float = 1e-6) -> LinearFilter:
+                        tail_tol: float = DEFAULT_TAIL_TOL) -> LinearFilter:
     """Symmetric-support moving-average filter reproducing the density f.
 
     a_k come from singularity-refined quadrature of cos(kx) sqrt(f(x)),
@@ -331,7 +331,7 @@ def _filter_walk(f: SpectralDensity, tail_tol: float, fits):
     scale = 2.0 / math.sqrt(TWO_PI)
     k, tail = 64, math.inf
     while fits(k):
-        a = scale * _cosine_block(f, k, "root", 1e-10)
+        a = scale * _cosine_block(f, k, "root")
         sum_sq = a[0] ** 2 + 2.0 * float(np.dot(a[1:], a[1:]))
         tail = max(c0 - sum_sq, 0.0)
         if tail <= tail_tol * c0:

@@ -71,6 +71,13 @@ def mp_cdf(x_grid, c: float, sigma2: float = 1.0,
     return vals
 
 
+def semicircle_cdf(x, radius: float) -> np.ndarray:
+    """CDF of the semicircle law on [-radius, radius], whose density is
+    2 sqrt(radius^2 - x^2) / (pi radius^2)."""
+    t = np.clip(np.asarray(x, dtype=float) / radius, -1.0, 1.0)
+    return 0.5 + (t * np.sqrt(1.0 - t * t) + np.arcsin(t)) / math.pi
+
+
 def _ar1_coefficients(phi: float, sigma2: float) -> tuple[float, float]:
     # 1/(2 pi f) = alpha - beta cos(lam) for the AR(1) density
     return (1.0 + phi * phi) / sigma2, 2.0 * phi / sigma2
@@ -113,28 +120,103 @@ def ar1_transform(z: complex, c: float, phi: float,
     return s
 
 
-def ar1_limit(x, c: float, phi: float, sigma2: float = 1.0,
-              eta: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Density and CDF of the AR(1) limit at z = x + i eta x, read off the
-    closed forms: the density is Im s_plain / pi with the zero atom
-    max(0, 1 - 1/c) taken out, s_plain = (s + (1 - c)/z)/c; the CDF is
-    ((Im Phi)/pi - (1 - c))/c for the antiderivative
-    Phi = s z + log s - c log((s + alpha + r)/2), which uses
-    (1/pi) * integral over (0, pi) of log(A - B cos lam) dlam
-    = log((A + sqrt(A^2 - B^2))/2)."""
-    alpha, beta = _ar1_coefficients(phi, sigma2)
+def _limit_from(x, c: float, eta: float, transform, phi_of):
+    # Density and CDF at z = x + i eta x from a closed-form companion
+    # transform s = transform(z) and antiderivative phi_of(s, z): the
+    # density is Im s_plain / pi with the zero atom max(0, 1 - 1/c) taken
+    # out, s_plain = (s + (1 - c)/z)/c; the CDF is ((Im Phi)/pi - (1 - c))/c.
     atom0 = max(0.0, 1.0 - 1.0 / c)
     xs = np.asarray(x, dtype=float)
     rho = np.empty(xs.shape)
     cdf = np.empty(xs.shape)
     for i, xv in enumerate(xs):
         z = complex(xv, eta * xv)
-        s = ar1_transform(z, c, phi, sigma2)
+        s = transform(z)
         rho[i] = ((s + (1.0 - c) / z) / c + atom0 / z).imag / math.pi
-        r = _ar1_root(s, alpha, beta)
-        phi_z = s * z + cmath.log(s) - c * cmath.log(0.5 * (s + alpha + r))
-        cdf[i] = (phi_z.imag / math.pi - (1.0 - c)) / c
+        cdf[i] = (phi_of(s, z).imag / math.pi - (1.0 - c)) / c
     return rho, cdf
+
+
+def ar1_limit(x, c: float, phi: float, sigma2: float = 1.0,
+              eta: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Density and CDF of the AR(1) limit at z = x + i eta x, read off the
+    closed forms (see _limit_from), with the antiderivative
+    Phi = s z + log s - c log((s + alpha + r)/2), which uses
+    (1/pi) * integral over (0, pi) of log(A - B cos lam) dlam
+    = log((A + sqrt(A^2 - B^2))/2)."""
+    alpha, beta = _ar1_coefficients(phi, sigma2)
+
+    def phi_of(s, z):
+        r = _ar1_root(s, alpha, beta)
+        return s * z + cmath.log(s) - c * cmath.log(0.5 * (s + alpha + r))
+
+    return _limit_from(x, c, eta, lambda z: ar1_transform(z, c, phi, sigma2),
+                       phi_of)
+
+
+def _ma1_coefficients(theta: float, sigma2: float) -> tuple[float, float]:
+    # 2 pi f = a + b cos(lam) for the MA(1) density
+    return sigma2 * (1.0 + theta * theta), 2.0 * sigma2 * theta
+
+
+def _ma1_root(s: complex, a: float, b: float) -> complex:
+    # R with R^2 = (1 + s a)^2 - (s b)^2, the product of principal roots of
+    # 1 + s (a - b) and 1 + s (a + b), both in the closed upper half-plane
+    # for Im s > 0 (a +- b = sigma2 (1 +- theta)^2 >= 0), so that
+    # (1/pi) * integral over (0, pi) of dlam / (1 + s a + s b cos lam) = 1/R
+    return cmath.sqrt(1.0 + s * (a - b)) * cmath.sqrt(1.0 + s * (a + b))
+
+
+def ma1_transform(z: complex, c: float, theta: float,
+                  sigma2: float = 1.0) -> complex:
+    """Companion Stieltjes transform of the limit for the MA(1) density.
+
+    With 2 pi f = a + b cos(lam), a = sigma2 (1 + theta^2) and
+    b = 2 sigma2 theta, the integral (1/pi) * integral over (0, pi) of
+    dlam / (s + 1/(2 pi f)) is (1/s)(1 - 1/R), R^2 = (1 + s a)^2 - (s b)^2,
+    so z = -1/s + (c/s)(1 - 1/R) and s is a root of the quartic
+    ((1 + s a)^2 - (s b)^2) (c - 1 - z s)^2 = c^2: the one in the upper
+    half-plane that solves the unsquared equation, polished by Newton
+    steps on it."""
+    a, b = _ma1_coefficients(theta, sigma2)
+    quad = np.array([a * a - b * b, 2.0 * a, 1.0])
+    quartic = np.polymul(quad, np.array([z * z, -2.0 * z * (c - 1.0),
+                                         (c - 1.0) ** 2]))
+    quartic[-1] -= c * c
+
+    def resid(s):
+        return z + 1.0 / s - (c / s) * (1.0 - 1.0 / _ma1_root(s, a, b))
+
+    upper = [complex(s) for s in np.roots(quartic) if s.imag > 0]
+    if not upper:
+        raise AssertionError(f"no upper-half-plane root at z={z!r}")
+    s = min(upper, key=lambda s: abs(resid(s)))
+    for _ in range(3):
+        r = _ma1_root(s, a, b)
+        dr = (a * (1.0 + s * a) - s * b * b) / r
+        slope = (-1.0 / (s * s) + (c / (s * s)) * (1.0 - 1.0 / r)
+                 - (c / s) * dr / (r * r))
+        s -= resid(s) / slope
+    return s
+
+
+def ma1_limit(x, c: float, theta: float, sigma2: float = 1.0,
+              eta: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Density and CDF of the MA(1) limit at z = x + i eta x, read off the
+    closed forms (see _limit_from).  Since s + 1/(2 pi f) =
+    (1 + s a + s b cos lam)/(a + b cos lam), the antiderivative is
+    Phi = s z + log s - c [log((A + R)/2) - log((a + sqrt(a^2 - b^2))/2)]
+    with A = 1 + s a, by the same log-cosine integral as ar1_limit's."""
+    a, b = _ma1_coefficients(theta, sigma2)
+    base = math.log(0.5 * (a + math.sqrt(a * a - b * b)))
+
+    def phi_of(s, z):
+        r = _ma1_root(s, a, b)
+        return (s * z + cmath.log(s)
+                - c * (cmath.log(0.5 * (1.0 + s * a + r)) - base))
+
+    return _limit_from(x, c, eta, lambda z: ma1_transform(z, c, theta, sigma2),
+                       phi_of)
 
 
 def ar1_covariance(k: int, phi: float, sigma2: float = 1.0) -> float:

@@ -1,5 +1,6 @@
 """Command-line driver: config parsing, run artifacts, determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -103,6 +104,33 @@ def test_solver_max_iter_is_an_unknown_key_and_exits_two(tmp_path,
     assert exc.value.messages == [
         "bad 'solver': unknown solver keys ['max_iter']"]
     assert _run(tmp_path, monkeypatch, "solve", cfg) == 2
+
+
+@pytest.mark.parametrize("section, noun", [
+    ("solver", "solver"), ("grid", "grid"), ("z_line", "z_line"),
+    ("thresholds", "threshold"), ("toeplitz", "toeplitz")])
+def test_every_section_names_its_unknown_keys(section, noun):
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SOLVE_CFG, **{section: {"bogus": 1}}))
+    assert exc.value.messages == [
+        f"bad '{section}': unknown {noun} keys ['bogus']"]
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SOLVE_CFG, **{section: ["bogus"]}))
+    assert exc.value.messages == [f"bad '{section}': must be a mapping"]
+
+
+def test_unset_keys_parse_to_the_library_defaults():
+    # tail_tol, the grid size and the solver tolerances each have one home
+    # in the library; a config that sets none of them gets those values
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    cfg = cli.parse_config({"density": {"family": "constant"}})
+    assert cfg.tail_tol == default(gramspec.filter_from_density, "tail_tol")
+    assert cfg.tail_tol == default(gramspec.generate_gaussian_rows,
+                                   "tail_tol")
+    assert cfg.grid_points == default(gramspec.default_x_grid, "n_points")
+    assert cfg.solver == gramspec.SolverSettings()
 
 
 @pytest.mark.parametrize("seed", [1, 77, 4242])
@@ -299,14 +327,13 @@ def test_universality_manifest_reports_inversion(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"ensemble": "toeplitz-gaussian"}, "'ensemble' must be 'filter'"),
     ({"load_matrices": "cache"}, "'load_matrices' is not read"),
     ({"save_matrices": True}, "'save_matrices' is not read"),
 ])
 def test_universality_rejects_row_sources_it_does_not_read(
         tmp_path, monkeypatch, capsys, extra, message):
-    # every law drives the filter on fresh rows; a key that would choose
-    # other rows, or cache them, is refused before any work
+    # every law drives the filter on fresh rows; a key that would load
+    # or cache the matrices is refused before any work
     assert _run(tmp_path, monkeypatch, "universality",
                 dict(UNIV_CFG, **extra)) == 2
     assert capsys.readouterr().err == \
@@ -467,14 +494,16 @@ from gramspec import cli
 for sub, path in zip(("compare", "solve"), sys.argv[1:3]):
     assert cli.main([sub, "--config", path, "--output-root", sys.argv[3]]) == 0
 print(sorted(m for m in sys.modules
-             if m == "numpy.ma" or m.startswith("numpy.ma.")))
+             if m in ("numpy.ma", "fractions") or m.startswith("numpy.ma.")))
 """
 
 
 def test_compare_and_solve_never_import_numpy_ma(tmp_path):
     # numpy's quantile and unique import numpy.ma (about 12 ms) on first
     # use; a compare on a singular density (its quadrature splits cells at
-    # the singularity) and a solve with a default grid must not pay it
+    # the singularity) and a solve with a default grid must not pay it,
+    # nor the 2.4 ms of fractions for an aspect ratio that p / n rounds
+    # exactly as Fraction(p, n) does
     src = os.path.dirname(os.path.dirname(os.path.abspath(gramspec.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -9,7 +9,7 @@ import gramspec
 from gramspec import _kernels, limit
 from gramspec.errors import DomainError
 
-from _oracles import (ar1_limit, mp_cdf, mp_density, mp_edges,
+from _oracles import (ar1_limit, ma1_limit, mp_cdf, mp_density, mp_edges,
                       mp_transform)
 
 
@@ -234,6 +234,26 @@ def test_inversion_matches_the_ar1_closed_form(phi, c):
     np.testing.assert_allclose(lim.density[inside], rho[inside], rtol=1e-8,
                                atol=0.0)
     # outside the package's support the closed form is O(1e-8) too
+    assert np.all(rho[~inside] <= 1e-6)
+    assert float(np.max(np.abs(lim.cdf - cdf))) <= 1e-6
+    assert abs(lim.total_mass - cdf[-1]) <= 1e-6
+    assert abs(lim.total_mass - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("theta, c", [(0.5, 0.5), (0.5, 2.0), (0.9, 0.5),
+                                      (0.9, 2.0)])
+def test_inversion_matches_the_ma1_closed_form(theta, c):
+    # the MA(1) limit in closed form: the integral is (1/s)(1 - 1/R) with
+    # R^2 = (1 + s a)^2 - (s b)^2, and the antiderivative takes the same
+    # log-cosine integral as AR(1)'s, at the AR(1) test's tolerances
+    f = gramspec.ma1_density(theta)
+    grid = gramspec.default_x_grid(f, c, 200)
+    lim = gramspec.invert_to_distribution(f, c, grid)
+    rho, cdf = ma1_limit(grid, c, theta, eta=1e-8)
+    inside = lim.density > 0
+    assert inside.sum() >= 40
+    np.testing.assert_allclose(lim.density[inside], rho[inside], rtol=1e-8,
+                               atol=0.0)
     assert np.all(rho[~inside] <= 1e-6)
     assert float(np.max(np.abs(lim.cdf - cdf))) <= 1e-6
     assert abs(lim.total_mass - cdf[-1]) <= 1e-6

@@ -116,11 +116,6 @@ def test_cosine_rejects_negative_k_max():
         cosine_coefficients(lambda x: np.ones_like(x), -1)
 
 
-def test_cosine_eval_cap_raises():
-    with pytest.raises(QuadratureError):
-        cosine_coefficients(lambda x: np.exp(np.cos(x)), 64, eval_cap=64)
-
-
 def test_cosine_inverse_sqrt_singularity():
     # exponent -1/2 is the hardest case the ladder meets in practice; the
     # innermost representable panel bounds accuracy near 1e-9
