@@ -16,8 +16,7 @@ from .spectral import (LinearFilter, SpectralDensity, ar1_density,
                        covariance_sequence, density_from_spec,
                        eval_density, filter_from_density,
                        fractional_density, h_pushforward, ma1_density,
-                       regularity_profile, tabulated_density,
-                       truncate_density)
+                       tabulated_density, truncate_density)
 from .ensemble import (DataMatrix, InnovationLaw, gaussian_law,
                        generate_gaussian_rows, generate_linear_rows,
                        generate_stationary_lower_triangle,
@@ -30,12 +29,11 @@ from .matrixops import (Esd, SymMatrix, gram, gram_eigenvalues,
                         symmetric_eigenvalues, symmetric_from_lower,
                         symmetrize_gram)
 from .metrics import (StepCdf, kolmogorov_distance, levy_distance,
-                      levy_gram_bound, lindeberg_statistic,
-                      stieltjes_diff_bound)
+                      levy_gram_bound, stieltjes_diff_bound)
 from .limit import (LimitDistribution, LimitPoint, SolverSettings,
                     TruncationLadder, companion, companion_inverse,
                     default_x_grid, invert_to_distribution,
-                    solve_limit_H, solve_limit_density, truncation_ladder)
+                    solve_limit_density, truncation_ladder)
 from ._kernels import backend_name, warm_up
 
 __version__ = "1.0.0"
@@ -47,8 +45,7 @@ __all__ = [
     "LinearFilter", "SpectralDensity", "ar1_density", "constant_density",
     "covariance_from_density", "covariance_sequence", "density_from_spec",
     "eval_density", "filter_from_density", "fractional_density",
-    "h_pushforward", "ma1_density", "regularity_profile",
-    "tabulated_density", "truncate_density",
+    "h_pushforward", "ma1_density", "tabulated_density", "truncate_density",
     "DataMatrix", "InnovationLaw", "gaussian_law",
     "generate_gaussian_rows", "generate_linear_rows",
     "generate_stationary_lower_triangle", "generate_toeplitz_gaussian_rows",
@@ -60,10 +57,10 @@ __all__ = [
     "stieltjes_empirical", "symmetric_eigenvalues", "symmetric_from_lower",
     "symmetrize_gram",
     "StepCdf", "kolmogorov_distance", "levy_distance", "levy_gram_bound",
-    "lindeberg_statistic", "stieltjes_diff_bound",
+    "stieltjes_diff_bound",
     "LimitDistribution", "LimitPoint", "SolverSettings", "TruncationLadder",
     "companion", "companion_inverse", "default_x_grid",
-    "invert_to_distribution", "solve_limit_H", "solve_limit_density",
+    "invert_to_distribution", "solve_limit_density",
     "truncation_ladder",
     "backend_name", "warm_up",
     "__version__",

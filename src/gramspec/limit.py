@@ -25,6 +25,7 @@ rounding error of the residual itself.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -144,8 +145,8 @@ def _certified_level(f: SpectralDensity, c: float, target: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Certified solve driver (shared by the density and measure entry points).
-# Node weights arrive folded: the kernel equation is z = -1/s + sum w/(s + g).
+# Certified solve at one z.  Node weights arrive folded: the kernel
+# equation is z = -1/s + sum w/(s + g).
 
 def _run_start(z: complex, g, w, s0: complex, settings: SolverSettings,
                tol: float | None = None) -> tuple[complex, float, int]:
@@ -193,30 +194,34 @@ def _dual_start(z: complex, g, w,
     return s_a, total
 
 
-def _check_point(z, c: float) -> complex:
+def solve_limit_density(f: SpectralDensity, c: float, z: complex,
+                        settings: SolverSettings | None = None, *,
+                        initial: complex | None = None) -> LimitPoint:
+    """Solve the limiting equation for spectral density f at one z in C+.
+
+    With no `initial`, runs the two canonical starts -1/z and i and requires
+    them to agree (uniqueness probe); a warm start skips the probe.  The
+    solve runs on the nodes of the certified level plus k and its residual
+    is certified on those of level plus k + 1; a failed certificate moves
+    on to the next k, for at most four attempts.
+    """
     z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("z must lie in the open upper half-plane")
-    if not c > 0:
-        raise DomainError("aspect ratio c must be positive")
-    return z
-
-
-def _solve_under(nodes, c: float, z: complex, settings: SolverSettings,
-                 initial: complex | None, attempts: int,
-                 failure: str) -> LimitPoint:
-    """Solve on the folded nodes of step k, then certify the residual on
-    those of step k + 1, escalating to the next step if the certificate
-    fails; `nodes` maps k to folded (g, w)."""
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise DomainError("z must be finite and lie in the open upper "
+                          "half-plane")
+    if not 0 < c < math.inf:
+        raise DomainError("aspect ratio c must be finite and positive")
+    settings = settings or SolverSettings()
+    level = _level(f, c, settings)
     total_iters = 0
-    for k in range(attempts):
-        g, w = nodes(k)
+    for k in range(4):
+        g, w = _folded_nodes(f, c, level + k)
         if initial is None:
             s, it = _dual_start(z, g, w, settings)
         else:
             s, _, it = _run_start(z, g, w, initial, settings)
         total_iters += it
-        g_fine, w_fine = nodes(k + 1)
+        g_fine, w_fine = _folded_nodes(f, c, level + k + 1)
         resid_fine = abs(z + 1.0 / s - complex(np.sum(w_fine / (s + g_fine))))
         if resid_fine <= max(settings.tol, 16.0 * _EPS * abs(z)):
             s_plain = companion_inverse(s, c, z)
@@ -224,22 +229,7 @@ def _solve_under(nodes, c: float, z: complex, settings: SolverSettings,
                 raise HerglotzLoss(
                     f"recovered transform has Im <= 0 at z={z!r}")
             return LimitPoint(s, s_plain, resid_fine, total_iters)
-    raise QuadratureError(failure)
-
-
-def solve_limit_density(f: SpectralDensity, c: float, z: complex,
-                        settings: SolverSettings | None = None, *,
-                        initial: complex | None = None) -> LimitPoint:
-    """Solve the limiting equation for spectral density f at one z in C+.
-
-    With no `initial`, runs the two canonical starts -1/z and i and requires
-    them to agree (uniqueness probe); a warm start skips the probe.
-    """
-    z = _check_point(z, c)
-    settings = settings or SolverSettings()
-    level = _level(f, c, settings)
-    return _solve_under(
-        lambda k: _folded_nodes(f, c, level + k), c, z, settings, initial, 4,
+    raise QuadratureError(
         f"residual certificate kept failing at z={z!r} through grid "
         f"level {level + 4}")
 
@@ -256,63 +246,6 @@ def _folded_nodes(f: SpectralDensity, c: float, level: int):
     w = w * (c / math.pi)
     w.flags.writeable = False
     return g, w
-
-
-# ---------------------------------------------------------------------------
-# Solving directly against a spectral-mass CDF (atoms + linear pieces).
-
-def _measure_nodes(h, order: int):
-    xs, fl, fr = h.xs, h.left, h.right
-    if xs[0] < 0:
-        raise DomainError("spectral-mass CDF must live on [0, inf)")
-    jumps = fr - fl
-    ax = xs[jumps > 0]
-    aw = jumps[jumps > 0]
-    keep = ax > 0  # an atom at 0 contributes nothing to the integral
-    parts_x = [ax[keep]]
-    parts_w = [aw[keep]]
-    pmass = fl[1:] - fr[:-1]
-    piece = pmass > 0
-    if np.any(piece):
-        xi, wi = np.polynomial.legendre.leggauss(order)
-        lo = xs[:-1][piece]
-        hi = xs[1:][piece]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * xi[None, :]
-        wts = 0.5 * pmass[piece][:, None] * wi[None, :]
-        parts_x.append(nodes.ravel())
-        parts_w.append(wts.ravel())
-    x = np.concatenate(parts_x)
-    w = np.concatenate(parts_w)
-    if x.size == 0:
-        raise DomainError("spectral-mass CDF carries no positive mass")
-    return 1.0 / x, w
-
-
-def solve_limit_H(h, c: float, z: complex,
-                  settings: SolverSettings | None = None, *,
-                  initial: complex | None = None) -> LimitPoint:
-    """Solve the limiting equation driven by a spectral-mass CDF instead of
-    a density.
-
-    `h` is a StepCdf on [0, inf): its atoms and linear pieces are integrated
-    exactly-in-structure (Gauss rule per piece), so this route shares no
-    frequency quadrature with solve_limit_density and serves as an
-    independent cross-check of it.
-    """
-    z = _check_point(z, c)
-
-    def nodes(k):
-        # the weights already hold mass, so they fold with plain c where
-        # the density route's frequency weights fold with c/pi
-        g, w = _measure_nodes(h, 12 * 2**k)
-        return g, c * w
-
-    return _solve_under(
-        nodes, c, z, settings or SolverSettings(), initial, 3,
-        f"piecewise Gauss rule for the mass CDF kept failing its residual "
-        f"certificate at z={z!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +406,8 @@ def invert_to_distribution(f: SpectralDensity, c: float, x_grid,
     F = (F_under - (1 - c))/c.  The returned x_grid is the grid passed.
     """
     x = check_x_grid(x_grid)
-    if not c > 0:
-        raise DomainError("aspect ratio c must be positive")
+    if not 0 < c < math.inf:
+        raise DomainError("aspect ratio c must be finite and positive")
     settings = settings or SolverSettings()
     atom0 = max(0.0, 1.0 - 1.0 / c)
     g, w = _folded_nodes(f, c, _level(f, c, settings))
@@ -537,13 +470,15 @@ class TruncationLadder:
 
 def check_caps(caps) -> tuple[float, ...]:
     """The caps of a truncation ladder as floats; DomainError unless there
-    are at least two, all positive and strictly increasing (NaN fails)."""
+    are at least two, all finite, positive and strictly increasing (NaN
+    fails)."""
     caps = tuple(float(b) for b in caps)
     if len(caps) < 2:
         raise DomainError(f"caps need at least two entries, got {len(caps)}")
-    if not all(b > 0 for b in caps) or \
+    if not all(0 < b < math.inf for b in caps) or \
             not all(b2 > b1 for b1, b2 in zip(caps, caps[1:])):
-        raise DomainError("caps must be positive and strictly increasing")
+        raise DomainError("caps must be finite, positive and strictly "
+                          "increasing")
     return caps
 
 

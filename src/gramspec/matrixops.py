@@ -12,6 +12,7 @@ independent oracles in the test suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -158,8 +159,9 @@ def symmetric_eigenvalues(a) -> Esd:
 def stieltjes_empirical(e: Esd, z: complex) -> complex:
     """(1/n) Tr (A - zI)^{-1} via the eigenvalue form; requires Im z > 0."""
     z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("Stieltjes transform is evaluated on Im z > 0 only")
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise DomainError("Stieltjes transform is evaluated at finite z "
+                          "with Im z > 0 only")
     return complex(np.mean(1.0 / (e.eigs - z)))
 
 
@@ -172,8 +174,8 @@ def gram_stieltjes_identity(x, z: complex) -> tuple[complex, complex]:
     principal branch (Im √z > 0 on the upper half-plane).
     """
     z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("identity needs Im z > 0")
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise DomainError("identity needs a finite z with Im z > 0")
     arr = _data_matrix(x)
     nn, pp = arr.shape
     lhs = stieltjes_empirical(gram_eigenvalues(arr, nn), z)

@@ -237,19 +237,3 @@ def levy_gram_bound(a, b) -> tuple[float, float]:
     tr_diff = float(np.sum((a - b) ** 2))
     rhs = math.sqrt(2.0) / a.shape[0] * math.sqrt(tr_sum * tr_diff)
     return lhs, rhs
-
-
-def lindeberg_statistic(entries, threshold: float) -> float:
-    """Truncated second-moment statistic (1/n^2) sum x^2 1{|x| > threshold}
-    over a row-major lower triangle of length n(n+1)/2."""
-    x = np.asarray(entries, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("need a flat entry array")
-    m = x.size
-    n = int((math.isqrt(8 * m + 1) - 1) // 2)
-    if n * (n + 1) // 2 != m:
-        raise DomainError(f"length {m} is not a triangular number")
-    if threshold < 0:
-        raise DomainError("threshold must be nonnegative")
-    mask = np.abs(x) > threshold
-    return float(np.sum(x[mask] ** 2)) / (n * n)

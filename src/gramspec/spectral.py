@@ -109,8 +109,8 @@ def tabulated_density(lams, vals) -> SpectralDensity:
 
 def truncate_density(f: SpectralDensity, b: float) -> SpectralDensity:
     """Pointwise cap min(f, b); the result is bounded with no singular points."""
-    if b <= 0:
-        raise DomainError("cap b must be positive")
+    if not 0 < b < math.inf:
+        raise DomainError("cap b must be finite and positive")
     return SpectralDensity("truncated-of", (float(b),), (), base=f)
 
 
@@ -251,7 +251,7 @@ class LinearFilter:
     """Finite real filter a_k, k in [-offset, len(coeffs)-1-offset].
 
     ``tail_bound`` certifies the discarded mass: the sum of a_k^2 over the
-    dropped indices is at most tail_bound.  Causal filters have offset 0.
+    dropped indices is at most tail_bound.
     """
 
     offset: int
@@ -266,8 +266,8 @@ class LinearFilter:
             raise DomainError("coeffs must be a nonempty 1-d sequence")
         if not 0 <= self.offset < arr.size:
             raise DomainError("offset must index into coeffs")
-        if self.tail_bound < 0:
-            raise DomainError("tail_bound must be >= 0")
+        if not 0 <= self.tail_bound < math.inf:
+            raise DomainError("tail_bound must be finite and >= 0")
 
     @property
     def k_min(self) -> int:
@@ -277,21 +277,8 @@ class LinearFilter:
     def k_max(self) -> int:
         return self.coeffs.size - 1 - self.offset
 
-    @property
-    def is_causal(self) -> bool:
-        return self.offset == 0
-
     def sum_sq(self) -> float:
         return float(np.dot(self.coeffs, self.coeffs))
-
-    def shifted_causal(self) -> "LinearFilter":
-        """Time-shifted copy starting at lag 0.
-
-        Shifting a stationary moving average in time does not change its
-        law, so a two-sided filter can be profiled or simulated through the
-        causal code path after this reindexing.
-        """
-        return LinearFilter(0, self.coeffs, self.tail_bound)
 
 
 def check_tail_tol(tail_tol) -> float:
@@ -342,23 +329,6 @@ def _filter_walk(f: SpectralDensity, tail_tol: float, fits):
             break
         k = min(2 * k, MAX_FILTER_HALF_LENGTH)
     return None, k, tail
-
-
-def regularity_profile(filt: LinearFilter, m: int) -> float:
-    """Tail root-mass (sum of a_k^2 for k >= m)^(1/2) of a causal filter.
-
-    Only causal filters are accepted: the profile is defined against the
-    one-sided innovation filtration, and a two-sided filter has no such
-    reading (use shifted_causal() first, which preserves the law).  The
-    analogous conditional-mixing profile of general nonlinear rows has no
-    closed form and is deliberately not computed anywhere in this package.
-    """
-    if not filt.is_causal:
-        raise DomainError("regularity profile requires a causal filter")
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    tail = filt.coeffs[m:]
-    return float(math.sqrt(np.dot(tail, tail))) if tail.size else 0.0
 
 
 def h_pushforward(f: SpectralDensity, x_grid) -> np.ndarray:

@@ -120,6 +120,36 @@ def ar1_transform(z: complex, c: float, phi: float,
     return s
 
 
+def ar1_edges(c: float, phi: float, sigma2: float = 1.0) -> list[float]:
+    """Support edges of the AR(1) limit, increasing.
+
+    On the real s axis off the poles, |s + alpha| > |beta|, the inverse is
+    x(s) = -1/s + c/r with r^2 = (s + alpha)^2 - beta^2 and r of the sign
+    of s + alpha, so x'(s) = 1/s^2 - c (s + alpha)/r^3 vanishes where
+    r^3 = c s^2 (s + alpha).  Squared, that is the sextic
+    ((s + alpha)^2 - beta^2)^3 = c^2 s^4 (s + alpha)^2, whose squaring adds
+    no root there: both sides of the unsquared equation have the sign of
+    s + alpha.  The edges are the positive critical values x(s) at its real
+    roots (Silverstein & Choi 1995); a critical point only moves x to
+    second order, so the roots need no polishing."""
+    alpha, beta = _ar1_coefficients(phi, sigma2)
+    quad = np.array([1.0, 2.0 * alpha, alpha * alpha - beta * beta])
+    sextic = np.polysub(np.polymul(np.polymul(quad, quad), quad),
+                        c * c * np.polymul([1.0, 0.0, 0.0, 0.0, 0.0],
+                                           [1.0, 2.0 * alpha, alpha ** 2]))
+    edges = []
+    for s in np.roots(sextic):
+        s = float(s.real) if abs(s.imag) <= 1e-9 * abs(s) else None
+        if s is None or abs(s + alpha) <= abs(beta):
+            continue
+        r = math.copysign(math.sqrt((s + alpha) ** 2 - beta * beta),
+                          s + alpha)
+        x = -1.0 / s + c / r
+        if x > 0:
+            edges.append(x)
+    return sorted(edges)
+
+
 def _limit_from(x, c: float, eta: float, transform, phi_of):
     # Density and CDF at z = x + i eta x from a closed-form companion
     # transform s = transform(z) and antiderivative phi_of(s, z): the

@@ -43,6 +43,15 @@ TOEPLITZ_CFG = {
 }
 
 
+def _child_env(**extra):
+    # the environment of a child interpreter that imports this checkout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gramspec.__file__)))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _write(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -166,6 +175,15 @@ def test_parse_config_rejects_nan(key, value):
         cli.parse_config(dict(SOLVE_CFG, **{key: value}))
     (msg,) = exc.value.messages
     assert msg.startswith(f"bad '{key}': ")
+
+
+def test_parse_config_rejects_an_infinite_cap():
+    # truncate_density refuses an infinite cap, so the ladder's parse-time
+    # check does too, rather than the run failing after it starts
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SOLVE_CFG, caps=[1.0, math.inf]))
+    assert exc.value.messages == [
+        "bad 'caps': caps must be finite, positive and strictly increasing"]
 
 
 def test_nan_tail_tol_from_the_command_line_exits_two(tmp_path, monkeypatch,
@@ -438,17 +456,14 @@ def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
     # matrices, and toeplitz-gaussian rows have the same bytes, under one
     # and two BLAS threads (600 x 300 rows through a p x p product, as
     # they once were, differed)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gramspec.__file__)))
     cfg = _write(tmp_path, _ROUTED_SIM_CFG)
     digests, matrices = [], []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         root = tmp_path / f"threads{threads}"
         done = subprocess.run(
             [sys.executable, "-c", _THREADS_SCRIPT, str(cfg), str(root)],
-            env=env, capture_output=True, text=True, check=True)
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, check=True)
         digests.append(done.stdout.splitlines()[-1])
         (run_dir,) = root.iterdir()
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -504,10 +519,6 @@ def test_compare_and_solve_never_import_numpy_ma(tmp_path):
     # the singularity) and a solve with a default grid must not pay it,
     # nor the 2.4 ms of fractions for an aspect ratio that p / n rounds
     # exactly as Fraction(p, n) does
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gramspec.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     compare = _write(tmp_path, dict(SIM_CFG, name="t-ma",
                                     density={"family": "fractional",
                                              "d": 0.3}), "compare.json")
@@ -515,5 +526,22 @@ def test_compare_and_solve_never_import_numpy_ma(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", _MASKED_SCRIPT, str(compare), str(solve),
          str(tmp_path / "runs")],
-        env=env, capture_output=True, text=True, check=True)
+        env=_child_env(), capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_benchmark_traced_mode_wraps_a_solve(tmp_path):
+    # perfbench/child.py --trace wraps the entry points its SPANS name and
+    # reads fields off their results; a library change that drops one
+    # breaks only the benchmark's traced runs, so run one here
+    cfg = _write(tmp_path, SOLVE_CFG)
+    trace = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "--trace", str(trace),
+         "cli", "solve", "--config", str(cfg),
+         "--output-root", str(tmp_path / "runs")],
+        env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(trace.read_text())
+    assert traced["counts"]["kernels.fixed_point_iterations"] > 0
+    assert "limit.invert_to_distribution" in traced["self_s"]

@@ -9,7 +9,8 @@ import gramspec
 from gramspec import _kernels, limit
 from gramspec.errors import DomainError
 
-from _oracles import (ar1_limit, ma1_limit, mp_cdf, mp_density, mp_edges,
+from _oracles import (ar1_edges, ar1_limit, ar1_transform, ma1_limit,
+                      ma1_transform, mp_cdf, mp_density, mp_edges,
                       mp_transform)
 
 
@@ -61,23 +62,25 @@ def test_scaled_constant_density_oracle():
 
 def test_h_route_dirac_equals_mp_oracle():
     # H = point mass at 1 reproduces the constant-density limit
-    h = gramspec.StepCdf.from_weights([1.0], [1.0])
+    f = gramspec.constant_density(1.0)
+    assert gramspec.h_pushforward(f, [0.5, 1.0, 1.5]).tolist() == [0, 1, 1]
     for c in (0.25, 1.0, 2.0):
         for z in (0.8 + 0.1j, -0.5 + 0.7j):
-            pt = gramspec.solve_limit_H(h, c, z)
+            pt = gramspec.solve_limit_density(f, c, z)
             assert abs(pt.s_under - mp_transform(z, c)) < 1e-10
 
 
-def test_density_and_h_routes_agree_for_ar1():
-    f = gramspec.ar1_density(0.5, 1.0)
-    lo = 1.0 / (1 + 0.5) ** 2
-    hi = 1.0 / (1 - 0.5) ** 2
-    xs = np.linspace(0.8 * lo, 1.1 * hi, 1200)
-    h = gramspec.StepCdf.from_grid(xs, gramspec.h_pushforward(f, xs))
+@pytest.mark.parametrize("family, param, c", [
+    ("ar1", 0.5, 0.5), ("ma1", 0.5, 0.5), ("ma1", 0.5, 2.0)])
+def test_off_axis_solves_match_the_ar1_and_ma1_closed_forms(family, param,
+                                                           c):
+    # the quartic roots of the closed forms, away from the real axis
+    make, transform = {"ar1": (gramspec.ar1_density, ar1_transform),
+                       "ma1": (gramspec.ma1_density, ma1_transform)}[family]
+    f = make(param)
     for z in (0.5 + 0.5j, 1.2 + 0.1j, 2.0 + 0.05j):
-        a = gramspec.solve_limit_density(f, 0.5, z)
-        b = gramspec.solve_limit_H(h, 0.5, z)
-        assert abs(a.s_under - b.s_under) < 1e-4
+        pt = gramspec.solve_limit_density(f, c, z)
+        assert abs(pt.s_under - transform(z, c, param)) < 1e-10
 
 
 def test_warm_start_skips_probe_and_agrees():
@@ -149,12 +152,15 @@ def test_solver_rejects_bad_arguments():
         gramspec.solve_limit_density(f, 0.5, 1.0 + 0.0j)
     with pytest.raises(DomainError):
         gramspec.solve_limit_density(f, -0.5, 1.0 + 0.1j)
-    h = gramspec.StepCdf.from_weights([1.0], [1.0])
+    # NaN or infinite z and c are refused up front, not by a failed solve
+    for z in (complex(math.inf, 0.1), complex(1.0, math.nan),
+              complex(math.nan, 0.1)):
+        with pytest.raises(DomainError):
+            gramspec.solve_limit_density(f, 0.5, z)
     with pytest.raises(DomainError):
-        gramspec.solve_limit_H(h, 0.5, 1.0 - 0.1j)
-    neg = gramspec.StepCdf.from_weights([-1.0, 1.0], [0.5, 0.5])
+        gramspec.solve_limit_density(f, math.inf, 1.0 + 0.1j)
     with pytest.raises(DomainError):
-        gramspec.solve_limit_H(neg, 0.5, 1.0 + 0.1j)
+        gramspec.invert_to_distribution(f, math.inf, [1.0, 2.0])
 
 
 def test_solver_settings_validation():
@@ -229,6 +235,8 @@ def test_inversion_matches_the_ar1_closed_form(phi, c):
     grid = gramspec.default_x_grid(f, c, 200)
     lim = gramspec.invert_to_distribution(f, c, grid)
     rho, cdf = ar1_limit(grid, c, phi, eta=1e-8)
+    np.testing.assert_allclose(lim.edges, ar1_edges(c, phi), rtol=1e-8,
+                               atol=0.0)
     inside = lim.density > 0
     assert inside.sum() >= 40
     np.testing.assert_allclose(lim.density[inside], rho[inside], rtol=1e-8,

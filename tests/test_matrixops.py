@@ -371,8 +371,18 @@ def test_stieltjes_empirical_is_resolvent_trace():
     expect = complex(np.mean(1.0 / (eigs - z)))
     assert abs(got - expect) < 1e-14
     assert got.imag > 0
-    with pytest.raises(DomainError):
-        gramspec.stieltjes_empirical(e, 0.7 - 0.2j)
+    for bad in (0.7 - 0.2j, complex(math.nan, 0.2), complex(0.7, math.nan),
+                complex(math.inf, 0.2)):
+        with pytest.raises(DomainError):
+            gramspec.stieltjes_empirical(e, bad)
+
+
+def test_gram_stieltjes_identity_refuses_z_that_is_not_finite():
+    x = np.ones((4, 3))
+    for bad in (complex(math.nan, 0.2), complex(0.7, math.nan),
+                complex(0.7, math.inf)):
+        with pytest.raises(DomainError):
+            gramspec.gram_stieltjes_identity(x, bad)
 
 
 def test_embedding_and_identity_refuse_data_that_is_not_2d():

@@ -165,28 +165,6 @@ def test_metric_axioms_and_levy_dominated_by_kolmogorov():
 
 
 # ---------------------------------------------------------------------------
-# truncated-moment statistic
-
-
-def test_lindeberg_statistic_hand_case():
-    # n = 2 triangle: entries (3, 0.5, -2); threshold 1 keeps 9 and 4
-    val = gramspec.lindeberg_statistic(np.array([3.0, 0.5, -2.0]), 1.0)
-    assert val == pytest.approx((9.0 + 4.0) / 4.0)
-
-
-def test_lindeberg_statistic_validates_triangle_length():
-    with pytest.raises(DomainError):
-        gramspec.lindeberg_statistic(np.ones(4), 1.0)
-    with pytest.raises(DomainError):
-        gramspec.lindeberg_statistic(np.ones(3), -1.0)
-
-
-def test_lindeberg_statistic_vanishes_for_small_entries():
-    tri = np.full(10, 0.5)  # n = 4 triangle
-    assert gramspec.lindeberg_statistic(tri, 0.5) == 0.0
-
-
-# ---------------------------------------------------------------------------
 # trace-bound smoke checks (full randomized suites run in acceptance)
 
 

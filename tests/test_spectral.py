@@ -173,47 +173,15 @@ def test_linear_filter_validation():
         gramspec.LinearFilter(0, np.array([]))
     with pytest.raises(DomainError):
         gramspec.LinearFilter(5, np.array([1.0, 2.0]))
-    with pytest.raises(DomainError):
-        gramspec.LinearFilter(0, np.array([1.0]), tail_bound=-0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gramspec.LinearFilter(0, np.array([1.0]), tail_bound=bad)
 
 
 def test_linear_filter_support_indexing():
     filt = gramspec.LinearFilter(1, np.array([0.5, 1.0, 0.25]))
     assert (filt.k_min, filt.k_max) == (-1, 1)
-    assert not filt.is_causal
     assert filt.sum_sq() == pytest.approx(0.25 + 1.0 + 0.0625)
-
-
-def test_shifted_causal_preserves_coefficients():
-    filt = gramspec.LinearFilter(2, np.array([0.1, 0.2, 1.0, 0.3, 0.05]),
-                                 tail_bound=1e-4)
-    causal = filt.shifted_causal()
-    assert causal.is_causal and causal.offset == 0
-    np.testing.assert_array_equal(causal.coeffs, filt.coeffs)
-    assert causal.tail_bound == filt.tail_bound
-    assert causal.sum_sq() == pytest.approx(filt.sum_sq(), rel=1e-15)
-
-
-def test_regularity_profile_tail_root_mass():
-    filt = gramspec.LinearFilter(0, np.array([1.0, 0.5, 0.25]))
-    assert gramspec.regularity_profile(filt, 0) == pytest.approx(
-        math.sqrt(1.0 + 0.25 + 0.0625))
-    assert gramspec.regularity_profile(filt, 1) == pytest.approx(
-        math.sqrt(0.25 + 0.0625))
-    assert gramspec.regularity_profile(filt, 3) == 0.0
-
-
-def test_regularity_profile_beyond_support_is_zero():
-    # the profile measures the finite filter itself; the discarded-mass
-    # certificate lives separately in tail_bound
-    filt = gramspec.LinearFilter(0, np.array([1.0, 0.5]), tail_bound=0.09)
-    assert gramspec.regularity_profile(filt, 2) == 0.0
-
-
-def test_regularity_profile_requires_causal():
-    filt = gramspec.LinearFilter(1, np.array([0.5, 1.0, 0.25]))
-    with pytest.raises(DomainError):
-        gramspec.regularity_profile(filt, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +200,13 @@ def test_truncate_density_caps_pointwise():
     # capping can only shed variance
     assert (gramspec.covariance_from_density(g, 0)
             < gramspec.covariance_from_density(f, 0))
+
+
+def test_truncate_density_rejects_caps_that_are_not_finite_and_positive():
+    f = gramspec.fractional_density(0.3, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gramspec.truncate_density(f, bad)
 
 
 def test_tabulated_density_interpolates_and_mirrors():
