@@ -51,48 +51,36 @@ from .spectral import (DEFAULT_TAIL_TOL, SpectralDensity, check_tail_tol,
 _COMMANDS = ("solve", "simulate", "compare", "toeplitz", "universality",
              "truncation")
 
-_ALLOWED_KEYS = {
-    "name", "density", "aspect", "seeds", "law", "laws", "tail_tol",
-    "solver", "grid", "z_line", "thresholds",
-    "caps", "workers", "budget", "toeplitz", "save_matrices",
-    "load_matrices",
-}
-
-# The keys each section may hold, and the word its unknown-key error uses.
-_SECTION_KEYS = {
-    "solver": ("solver", {"tol", "quad_tol"}),
-    "grid": ("grid", {"n_points", "x"}),
-    "z_line": ("z_line", {"re_min", "re_max", "count", "im"}),
-    "thresholds": ("threshold", {"levy", "kolmogorov", "cross_levy",
-                                 "gap_ratio"}),
-    "toeplitz": ("toeplitz", {"p"}),
-}
-
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Fully validated run recipe plus the canonical raw mapping it came from."""
+    """Fully validated run recipe, one field per config key (see _KEYS),
+    plus the canonical raw mapping it came from."""
 
     raw: dict
     name: str
     density: SpectralDensity | None
-    n_rows: int | None
-    n_cols: int | None
+    aspect: tuple[int, int] | None
     seeds: tuple[int, ...]
     law: InnovationLaw
     laws: tuple[InnovationLaw, ...]
     tail_tol: float
     solver: SolverSettings
-    grid_points: int
-    x_grid: np.ndarray | None
+    grid: tuple[int, np.ndarray | None]
     z_line: dict | None
     thresholds: dict
     caps: tuple[float, ...]
     workers: int
     budget: int
-    toeplitz_order: int | None
+    toeplitz: int | None
     save_matrices: bool
     load_matrices: str | None
+
+    # aspect is (n, p) and grid (n_points, x)
+    n_rows = property(lambda self: self.aspect[0])
+    n_cols = property(lambda self: self.aspect[1])
+    grid_points = property(lambda self: self.grid[0])
+    x_grid = property(lambda self: self.grid[1])
 
     @property
     def aspect_ratio(self) -> float:
@@ -109,188 +97,161 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()
 
 
-def _section(raw: dict, key: str) -> dict:
-    # The mapping under key ({} when absent); ValueError if it is not a
-    # mapping or holds a key the section does not take.
-    noun, allowed = _SECTION_KEYS[key]
-    sec = raw.get(key, {})
-    if not isinstance(sec, dict):
-        raise ValueError("must be a mapping")
-    extra = set(sec) - allowed
-    if extra:
-        raise ValueError(f"unknown {noun} keys {sorted(extra)}")
-    return sec
+# ---------------------------------------------------------------------------
+# Config readers.  Each reader in _KEYS takes a key's value and the
+# config's directory and returns the field's value, or raises: ConfigError
+# with whole messages, anything else for a "bad '<key>': ..." message.
+
+def _count(value, floor: int | None = None, below: str = "") -> int:
+    # A JSON integer: a bool, a float such as 800.7 or a string such as
+    # "800" is refused, not truncated.  ValueError(below) under floor.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    if floor is not None and value < floor:
+        raise ValueError(below)
+    return value
+
+
+def _flag(value, _base_dir) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {json.dumps(value)}")
+    return value
+
+
+def _section(noun: str, keys: set, read):
+    # The reader of a mapping that may hold only keys, which read turns
+    # into the field; unknown keys are named with noun.
+    def section(sec, _base_dir):
+        if not isinstance(sec, dict):
+            raise ValueError("must be a mapping")
+        extra = set(sec) - keys
+        if extra:
+            raise ValueError(f"unknown {noun} keys {sorted(extra)}")
+        return read(sec)
+    return section
+
+
+def _name(name, _base_dir) -> str:
+    if not isinstance(name, str) or not name or any(
+            ch in name for ch in "/\\ \t\n"):
+        raise ConfigError(
+            ["'name' must be a nonempty string without slashes or spaces"])
+    return name
+
+
+def _aspect(a: dict) -> tuple[int, int]:
+    n, p = _count(a["n"]), _count(a["p"])
+    if n < 1 or p < 1:
+        raise ValueError("n and p must be >= 1")
+    return n, p
+
+
+def _seeds(specs, _base_dir) -> tuple[int, ...]:
+    seeds = tuple(_count(s) for s in specs)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
+    if any(s < 0 for s in seeds):
+        raise ValueError("seeds must be nonnegative")
+    return seeds
+
+
+def _laws(specs, _base_dir) -> tuple[InnovationLaw, ...]:
+    if not isinstance(specs, list) or len(specs) < 2:
+        raise ValueError("'laws' needs a list of at least two entries")
+    return tuple(law_from_spec(s if isinstance(s, dict) else {"law": s})
+                 for s in specs)
+
+
+def _solver(s: dict) -> SolverSettings:
+    return SolverSettings(**{k: float(v) for k, v in s.items()})
+
+
+def _grid(g: dict) -> tuple[int, np.ndarray | None]:
+    points = check_grid_points(_count(g.get("n_points",
+                                            DEFAULT_GRID_POINTS)))
+    return points, (check_x_grid(g["x"]) if "x" in g else None)
+
+
+def _z_line(zl: dict) -> dict:
+    out = {"re_min": float(zl["re_min"]), "re_max": float(zl["re_max"]),
+           "count": _count(zl.get("count", 40)),
+           "im": float(zl.get("im", 0.05))}
+    if not out["re_max"] > out["re_min"] or out["count"] < 2:
+        raise ValueError("need re_max > re_min and count >= 2")
+    if not out["im"] > 0:
+        raise ValueError("im must be positive")
+    return out
+
+
+def _thresholds(th: dict) -> dict:
+    out = {k: float(v) for k, v in th.items()}
+    if not all(v > 0 for v in out.values()):
+        raise ValueError("thresholds must be positive")
+    return out
+
+
+def _load_matrices(path, base_dir) -> str | None:
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(["'load_matrices' must be a directory path string"])
+    if path is None or base_dir is None:
+        return path
+    return os.path.join(base_dir, path)  # an absolute path stays as it is
+
+
+# Every config key: its reader and the value an unset key takes.  The
+# order is the order in which errors are reported.
+_KEYS = {
+    "name": (_name, "run"),
+    "density": (density_from_spec, None),
+    "aspect": (_section("aspect", {"n", "p"}, _aspect), None),
+    "seeds": (_seeds, ()),
+    "law": (lambda spec, _: law_from_spec(spec), gaussian_law()),
+    "laws": (_laws, ()),
+    "tail_tol": (lambda tol, _: check_tail_tol(tol), DEFAULT_TAIL_TOL),
+    "solver": (_section("solver", {"tol", "quad_tol"}, _solver),
+               SolverSettings()),
+    "grid": (_section("grid", {"n_points", "x"}, _grid),
+             (DEFAULT_GRID_POINTS, None)),
+    "z_line": (_section("z_line", {"re_min", "re_max", "count", "im"},
+                        _z_line), None),
+    "thresholds": (_section("threshold", {"levy", "kolmogorov",
+                                          "cross_levy", "gap_ratio"},
+                            _thresholds), {}),
+    "caps": (lambda caps, _: check_caps(caps), ()),
+    "workers": (lambda n, _: _count(n, 1, "must be >= 1"), 1),
+    "budget": (lambda n, _: _count(n, 1, "must be >= 1"), DEFAULT_BUDGET),
+    "toeplitz": (_section("toeplitz", {"p"}, lambda t: _count(
+        t["p"], 2, "toeplitz.p must be >= 2")), None),
+    "save_matrices": (_flag, False),
+    "load_matrices": (_load_matrices, None),
+}
 
 
 def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     """Validate the whole mapping at once; every violation found is reported
     together in one ConfigError rather than stopping at the first."""
-    errors: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
-    for key in sorted(set(raw) - _ALLOWED_KEYS):
-        errors.append(f"unknown config key {key!r}")
-
-    def grab(fn, msg):
+    errors = [f"unknown config key {key!r}"
+              for key in sorted(set(raw) - set(_KEYS))]
+    values = {}
+    for key, (read, unset) in _KEYS.items():
         try:
-            return fn()
+            values[key] = read(raw[key], base_dir) if key in raw else unset
+        except ConfigError as exc:
+            errors.extend(exc.messages)
         except (GramspecError, KeyError, TypeError, ValueError) as exc:
-            errors.append(f"{msg}: {exc}")
-            return None
-
-    name = raw.get("name", "run")
-    if not isinstance(name, str) or not name or any(
-            ch in name for ch in "/\\ \t\n"):
-        errors.append("'name' must be a nonempty string without slashes or spaces")
-        name = "run"
-
-    density = None
-    if "density" in raw:
-        density = grab(lambda: density_from_spec(raw["density"], base_dir),
-                       "bad 'density'")
-
-    n_rows = n_cols = None
-    if "aspect" in raw:
-        def _aspect():
-            a = raw["aspect"]
-            n, p = int(a["n"]), int(a["p"])
-            if n < 1 or p < 1:
-                raise ValueError("n and p must be >= 1")
-            return n, p
-        got = grab(_aspect, "bad 'aspect'")
-        if got:
-            n_rows, n_cols = got
-
-    def _seeds():
-        out = tuple(int(s) for s in raw.get("seeds", ()))
-        if len(set(out)) != len(out):
-            raise ValueError("seeds must be distinct")
-        if any(s < 0 for s in out):
-            raise ValueError("seeds must be nonnegative")
-        return out
-    seeds = grab(_seeds, "bad 'seeds'") or ()
-
-    law = grab(lambda: law_from_spec(raw["law"]), "bad 'law'") \
-        if "law" in raw else gaussian_law()
-    law = law or gaussian_law()
-
-    laws: tuple[InnovationLaw, ...] = ()
-    if "laws" in raw:
-        def _laws():
-            specs = raw["laws"]
-            if not isinstance(specs, list) or len(specs) < 2:
-                raise ValueError("'laws' needs a list of at least two entries")
-            return tuple(law_from_spec(s) if isinstance(s, dict)
-                         else law_from_spec({"law": s}) for s in specs)
-        laws = grab(_laws, "bad 'laws'") or ()
-
-    tail_tol = grab(
-        lambda: check_tail_tol(raw.get("tail_tol", DEFAULT_TAIL_TOL)),
-        "bad 'tail_tol'") or DEFAULT_TAIL_TOL
-
-    def _solver():
-        s = _section(raw, "solver")
-        return SolverSettings(**{k: float(v) for k, v in s.items()})
-    solver = grab(_solver, "bad 'solver'") or SolverSettings()
-
-    grid_points = DEFAULT_GRID_POINTS
-    x_grid = None
-    if "grid" in raw:
-        def _grid():
-            g = _section(raw, "grid")
-            pts = check_grid_points(int(g.get("n_points",
-                                              DEFAULT_GRID_POINTS)))
-            xg = check_x_grid(g["x"]) if "x" in g else None
-            return pts, xg
-        got = grab(_grid, "bad 'grid'")
-        if got:
-            grid_points, x_grid = got
-
-    z_line = None
-    if "z_line" in raw:
-        def _zline():
-            zl = _section(raw, "z_line")
-            out = {"re_min": float(zl["re_min"]),
-                   "re_max": float(zl["re_max"]),
-                   "count": int(zl.get("count", 40)),
-                   "im": float(zl.get("im", 0.05))}
-            if not out["re_max"] > out["re_min"] or out["count"] < 2:
-                raise ValueError("need re_max > re_min and count >= 2")
-            if not out["im"] > 0:
-                raise ValueError("im must be positive")
-            return out
-        z_line = grab(_zline, "bad 'z_line'")
-
-    def _thresholds():
-        th = _section(raw, "thresholds")
-        out = {k: float(v) for k, v in th.items()}
-        if not all(v > 0 for v in out.values()):
-            raise ValueError("thresholds must be positive")
-        return out
-    thresholds = grab(_thresholds, "bad 'thresholds'") or {}
-
-    caps: tuple[float, ...] = ()
-    if "caps" in raw:
-        caps = grab(lambda: check_caps(raw["caps"]), "bad 'caps'") or ()
-
-    workers = grab(lambda: int(raw.get("workers", 1)), "bad 'workers'")
-    if workers is not None and workers < 1:
-        errors.append("'workers' must be >= 1")
-
-    budget = grab(lambda: int(raw.get("budget", DEFAULT_BUDGET)),
-                  "bad 'budget'")
-    if budget is not None and budget < 1:
-        errors.append("'budget' must be >= 1")
-
-    toeplitz_order = None
-    if "toeplitz" in raw:
-        def _toe():
-            t = _section(raw, "toeplitz")
-            p = int(t["p"])
-            if p < 2:
-                raise ValueError("toeplitz.p must be >= 2")
-            return p
-        toeplitz_order = grab(_toe, "bad 'toeplitz'")
-
-    save_matrices = bool(raw.get("save_matrices", False))
-    load_matrices = raw.get("load_matrices")
-    if load_matrices is not None and not isinstance(load_matrices, str):
-        errors.append("'load_matrices' must be a directory path string")
-        load_matrices = None
-    if load_matrices is not None and base_dir is not None and \
-            not os.path.isabs(load_matrices):
-        load_matrices = os.path.join(base_dir, load_matrices)
-
+            errors.append(f"bad {key!r}: {exc}")
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        raw=raw, name=name, density=density, n_rows=n_rows, n_cols=n_cols,
-        seeds=seeds, law=law, laws=laws,
-        tail_tol=tail_tol, solver=solver,
-        grid_points=grid_points, x_grid=x_grid,
-        z_line=z_line, thresholds=thresholds, caps=caps, workers=workers,
-        budget=budget, toeplitz_order=toeplitz_order,
-        save_matrices=save_matrices, load_matrices=load_matrices)
+    return ExperimentConfig(raw=raw, **values)
 
 
-def _require(cfg: ExperimentConfig, command: str, *fields) -> None:
-    missing = []
-    for fld in fields:
-        if fld == "density" and cfg.density is None:
-            missing.append("'density'")
-        elif fld == "aspect" and (cfg.n_rows is None or cfg.n_cols is None):
-            missing.append("'aspect'")
-        elif fld == "seeds" and not cfg.seeds:
-            missing.append("'seeds'")
-        elif fld == "laws" and not cfg.laws:
-            missing.append("'laws'")
-        elif fld == "caps" and not cfg.caps:
-            missing.append("'caps'")
-        elif fld == "toeplitz" and cfg.toeplitz_order is None:
-            missing.append("'toeplitz'")
+def _require(cfg: ExperimentConfig, command: str, *keys) -> None:
+    missing = [key for key in keys if not getattr(cfg, key)]
     if missing:
-        raise ConfigError(
-            [f"command '{command}' needs config section {m}" for m in missing])
+        raise ConfigError([f"command '{command}' needs config section "
+                           f"'{key}'" for key in missing])
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +466,7 @@ def _cmd_compare(cfg: ExperimentConfig, stage: str):
 
 def _cmd_toeplitz(cfg: ExperimentConfig, stage: str):
     _require(cfg, "toeplitz", "density", "toeplitz")
-    p = cfg.toeplitz_order
+    p = cfg.toeplitz
     esd = symmetric_eigenvalues(toeplitz_matrix(cfg.density, p))
     grid = _h_window(cfg.density)
     hv = h_pushforward(cfg.density, grid)

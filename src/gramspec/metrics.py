@@ -12,6 +12,7 @@ this shape, so every metric below works on one type.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -94,28 +95,6 @@ class StepCdf:
         right = np.cumsum(counts) / e.n
         left = right - counts / e.n
         return StepCdf(uniq, left, right)
-
-    @staticmethod
-    def from_weights(xs, weights) -> "StepCdf":
-        xs = np.asarray(xs, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        if xs.shape != w.shape or xs.ndim != 1 or xs.size == 0:
-            raise DomainError("need matching 1-d atom arrays")
-        if np.any(w < 0):
-            raise DomainError("atom weights must be nonnegative")
-        order = np.argsort(xs, kind="stable")
-        xs, w = xs[order], w[order]
-        if np.any(np.diff(xs) == 0):  # merge duplicate atoms
-            uniq, inv = np.unique(xs, return_inverse=True)
-            merged = np.zeros(uniq.size)
-            np.add.at(merged, inv, w)
-            xs, w = uniq, merged
-        right = np.cumsum(w)
-        total = right[-1]
-        if abs(total - 1.0) > 1e-9:
-            raise DomainError(f"atom weights sum to {total!r}, expected 1")
-        right = np.minimum(right, 1.0)
-        return StepCdf(xs, right - w, right)
 
     @staticmethod
     def from_grid(xs, cdf_vals, atom0: float = 0.0) -> "StepCdf":
@@ -203,8 +182,8 @@ def stieltjes_diff_bound(a: SymMatrix, b: SymMatrix,
         raise DomainError("matrices must have equal order")
     z = complex(z)
     y = z.imag
-    if y == 0.0:
-        raise DomainError("bound needs Im z != 0")
+    if not (y != 0.0 and cmath.isfinite(z)):
+        raise DomainError("bound needs a finite z with Im z != 0")
     if a.n < 1:
         raise DomainError("order must be >= 1")
     sa, sb = (_kernels.resolvent_trace(*_kernels.tridiagonalize(m.values), z)

@@ -230,6 +230,39 @@ def ma1_transform(z: complex, c: float, theta: float,
     return s
 
 
+def ma1_edges(c: float, theta: float, sigma2: float = 1.0) -> list[float]:
+    """Support edges of the MA(1) limit, increasing, for c != 1.
+
+    On the real s axis where Q = R^2 = 1 + 2as + (a^2 - b^2)s^2 > 0, the
+    inverse is x(s) = -1/s + (c/s)(1 - 1/R) with R of the sign of 1 + as,
+    and x'(s) = 0 reads (c - 1) R Q = c P, P = 1 + 3as + 2(a^2 - b^2)s^2.
+    Squared, that is the sextic (c - 1)^2 Q^3 = c^2 P^2.  Squaring adds the
+    roots of (c - 1) R Q = -c P, so a root is kept only where the unsquared
+    equation holds; the edges are the positive critical values x(s) there
+    (Silverstein & Choi 1995)."""
+    a, b = _ma1_coefficients(theta, sigma2)
+    q = np.array([a * a - b * b, 2.0 * a, 1.0])
+    p = np.array([2.0 * (a * a - b * b), 3.0 * a, 1.0])
+    sextic = np.polysub((c - 1.0) ** 2 * np.polymul(np.polymul(q, q), q),
+                        c * c * np.polymul(p, p))
+    edges = []
+    for root in np.roots(sextic):
+        if abs(root.imag) > 1e-9 * abs(root):
+            continue
+        s = float(root.real)
+        qs = float(np.polyval(q, s))
+        if qs <= 0:
+            continue
+        r = math.copysign(math.sqrt(qs), 1.0 + a * s)
+        lhs, rhs = (c - 1.0) * r * qs, c * float(np.polyval(p, s))
+        if abs(lhs - rhs) > 1e-6 * abs(lhs + rhs):
+            continue
+        x = -1.0 / s + (c / s) * (1.0 - 1.0 / r)
+        if x > 0:
+            edges.append(x)
+    return sorted(edges)
+
+
 def ma1_limit(x, c: float, theta: float, sigma2: float = 1.0,
               eta: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Density and CDF of the MA(1) limit at z = x + i eta x, read off the

@@ -94,9 +94,42 @@ def test_parse_config_rejects_nonpositive_workers_and_budget(key, value):
     # 0 must not fall back to the default
     with pytest.raises(ConfigError) as exc:
         cli.parse_config(dict(SIM_CFG, **{key: value}))
-    assert exc.value.messages == [f"'{key}' must be >= 1"]
+    assert exc.value.messages == [f"bad '{key}': must be >= 1"]
     cfg = cli.parse_config(dict(SIM_CFG, **{key: 3}))
     assert getattr(cfg, key) == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("aspect", {"n": 800.7, "p": 400}),
+    ("aspect", {"n": 800, "p": True}),
+    ("aspect", {"n": "800", "p": 400}),
+    ("seeds", [1.9]),
+    ("seeds", ["3"]),
+    ("grid", {"n_points": 64.9}),
+    ("z_line", dict(SOLVE_CFG["z_line"], count=5.5)),
+    ("toeplitz", {"p": 10.5}),
+    ("workers", 1.5),
+    ("save_matrices", "no"),
+], ids=["aspect.n-float", "aspect.p-bool", "aspect.n-string", "seeds-float",
+        "seeds-string", "grid.n_points", "z_line.count", "toeplitz.p",
+        "workers", "save_matrices"])
+def test_parse_config_refuses_counts_and_flags_it_would_coerce(key, value):
+    # a count is a JSON integer and a flag true or false: 800.7, true and
+    # "800" are not read as 800, 1 and 800, nor "no" as true
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SOLVE_CFG, **{key: value}))
+    (msg,) = exc.value.messages
+    assert msg.startswith(f"bad '{key}': ")
+
+
+def test_a_fractional_count_from_the_command_line_exits_two(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    assert _run(tmp_path, monkeypatch, "simulate", SIM_CFG,
+                "--set", "aspect.n=800.5") == 2
+    assert capsys.readouterr().err == \
+        "config error: bad 'aspect': expected an integer, got 800.5\n"
+    assert not (tmp_path / "runs").exists()
 
 
 def test_parse_config_rejects_the_removed_eps_ladder():
@@ -116,8 +149,9 @@ def test_solver_max_iter_is_an_unknown_key_and_exits_two(tmp_path,
 
 
 @pytest.mark.parametrize("section, noun", [
-    ("solver", "solver"), ("grid", "grid"), ("z_line", "z_line"),
-    ("thresholds", "threshold"), ("toeplitz", "toeplitz")])
+    ("aspect", "aspect"), ("solver", "solver"), ("grid", "grid"),
+    ("z_line", "z_line"), ("thresholds", "threshold"),
+    ("toeplitz", "toeplitz")])
 def test_every_section_names_its_unknown_keys(section, noun):
     with pytest.raises(ConfigError) as exc:
         cli.parse_config(dict(SOLVE_CFG, **{section: {"bogus": 1}}))
@@ -194,6 +228,13 @@ def test_nan_tail_tol_from_the_command_line_exits_two(tmp_path, monkeypatch,
     assert capsys.readouterr().err == \
         "config error: bad 'tail_tol': tail_tol must be positive\n"
     assert not (tmp_path / "runs").exists()
+
+
+def test_readme_documents_every_config_key():
+    # the README's command-line section names each key the parser reads
+    readme = (PERFBENCH.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert [key for key in cli._KEYS if f"`{key}`" not in section] == []
 
 
 def test_config_hash_is_canonical():

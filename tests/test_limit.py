@@ -9,8 +9,8 @@ import gramspec
 from gramspec import _kernels, limit
 from gramspec.errors import DomainError
 
-from _oracles import (ar1_edges, ar1_limit, ar1_transform, ma1_limit,
-                      ma1_transform, mp_cdf, mp_density, mp_edges,
+from _oracles import (ar1_edges, ar1_limit, ar1_transform, ma1_edges,
+                      ma1_limit, ma1_transform, mp_cdf, mp_density, mp_edges,
                       mp_transform)
 
 
@@ -258,6 +258,8 @@ def test_inversion_matches_the_ma1_closed_form(theta, c):
     grid = gramspec.default_x_grid(f, c, 200)
     lim = gramspec.invert_to_distribution(f, c, grid)
     rho, cdf = ma1_limit(grid, c, theta, eta=1e-8)
+    np.testing.assert_allclose(lim.edges, ma1_edges(c, theta), rtol=1e-8,
+                               atol=0.0)
     inside = lim.density > 0
     assert inside.sum() >= 40
     np.testing.assert_allclose(lim.density[inside], rho[inside], rtol=1e-8,
