@@ -14,16 +14,15 @@ from .errors import (ConfigError, DomainError, EigenNonConvergence,
 from .spectral import (LinearFilter, SpectralDensity, ar1_density,
                        constant_density, covariance_from_density,
                        covariance_sequence, density_from_spec,
-                       eval_density, filter_from_density,
-                       fractional_density, h_pushforward, ma1_density,
-                       tabulated_density, truncate_density)
+                       filter_from_density, fractional_density,
+                       h_pushforward, ma1_density, tabulated_density,
+                       truncate_density)
 from .ensemble import (DataMatrix, InnovationLaw, gaussian_law,
                        generate_gaussian_rows, generate_linear_rows,
                        generate_stationary_lower_triangle,
                        generate_toeplitz_gaussian_rows, law_from_spec,
-                       martingale_sign_law, rademacher_law,
-                       read_datamatrix, row_rng, student_t_law,
-                       toeplitz_matrix, uniform_law, write_datamatrix)
+                       rademacher_law, read_datamatrix, row_rng,
+                       toeplitz_matrix, write_datamatrix)
 from .matrixops import (Esd, SymMatrix, gram, gram_eigenvalues,
                         gram_stieltjes_identity, stieltjes_empirical,
                         symmetric_eigenvalues, symmetric_from_lower,
@@ -31,7 +30,7 @@ from .matrixops import (Esd, SymMatrix, gram, gram_eigenvalues,
 from .metrics import (StepCdf, kolmogorov_distance, levy_distance,
                       levy_gram_bound, stieltjes_diff_bound)
 from .limit import (LimitDistribution, LimitPoint, SolverSettings,
-                    TruncationLadder, companion, companion_inverse,
+                    TruncationLadder, companion_inverse,
                     default_x_grid, invert_to_distribution,
                     solve_limit_density, truncation_ladder)
 from ._kernels import backend_name, warm_up
@@ -44,14 +43,13 @@ __all__ = [
     "TailToleranceUnreachable", "UniquenessError",
     "LinearFilter", "SpectralDensity", "ar1_density", "constant_density",
     "covariance_from_density", "covariance_sequence", "density_from_spec",
-    "eval_density", "filter_from_density", "fractional_density",
+    "filter_from_density", "fractional_density",
     "h_pushforward", "ma1_density", "tabulated_density", "truncate_density",
     "DataMatrix", "InnovationLaw", "gaussian_law",
     "generate_gaussian_rows", "generate_linear_rows",
     "generate_stationary_lower_triangle", "generate_toeplitz_gaussian_rows",
-    "law_from_spec", "martingale_sign_law", "rademacher_law",
-    "read_datamatrix", "row_rng", "student_t_law", "toeplitz_matrix",
-    "uniform_law", "write_datamatrix",
+    "law_from_spec", "rademacher_law", "read_datamatrix", "row_rng",
+    "toeplitz_matrix", "write_datamatrix",
     "Esd", "SymMatrix", "gram", "gram_eigenvalues",
     "gram_stieltjes_identity",
     "stieltjes_empirical", "symmetric_eigenvalues", "symmetric_from_lower",
@@ -59,7 +57,7 @@ __all__ = [
     "StepCdf", "kolmogorov_distance", "levy_distance", "levy_gram_bound",
     "stieltjes_diff_bound",
     "LimitDistribution", "LimitPoint", "SolverSettings", "TruncationLadder",
-    "companion", "companion_inverse", "default_x_grid",
+    "companion_inverse", "default_x_grid",
     "invert_to_distribution", "solve_limit_density",
     "truncation_ladder",
     "backend_name", "warm_up",

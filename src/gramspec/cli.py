@@ -44,12 +44,9 @@ from .limit import (DEFAULT_GRID_POINTS, LimitDistribution, SolverSettings,
                     solve_limit_density, truncation_ladder)
 from .matrixops import Esd, gram_eigenvalues, symmetric_eigenvalues
 from .metrics import StepCdf, kolmogorov_distance, levy_distance
-from .spectral import (DEFAULT_TAIL_TOL, SpectralDensity, check_tail_tol,
-                       density_from_spec, filter_from_density, h_pushforward,
-                       probe_values)
-
-_COMMANDS = ("solve", "simulate", "compare", "toeplitz", "universality",
-             "truncation")
+from .spectral import (DEFAULT_TAIL_TOL, SpectralDensity, _real,
+                       check_tail_tol, density_from_spec, filter_from_density,
+                       h_pushforward, probe_values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +81,8 @@ class ExperimentConfig:
 
     @property
     def aspect_ratio(self) -> float:
-        """c = p / n, correctly rounded; commands read it after
-        _require(..., "aspect")."""
+        """c = p / n, correctly rounded; read only by the commands that
+        need "aspect" (see _BODIES)."""
         return self.n_cols / self.n_rows
 
 
@@ -101,6 +98,8 @@ def config_hash(raw: dict) -> str:
 # Config readers.  Each reader in _KEYS takes a key's value and the
 # config's directory and returns the field's value, or raises: ConfigError
 # with whole messages, anything else for a "bad '<key>': ..." message.
+# Numbers are read by _count (integers) and spectral._real (reals, shared
+# with the density and law specs), which refuse what they would coerce.
 
 def _count(value, floor: int | None = None, below: str = "") -> int:
     # A JSON integer: a bool, a float such as 800.7 or a string such as
@@ -163,7 +162,7 @@ def _laws(specs, _base_dir) -> tuple[InnovationLaw, ...]:
 
 
 def _solver(s: dict) -> SolverSettings:
-    return SolverSettings(**{k: float(v) for k, v in s.items()})
+    return SolverSettings(**{k: _real(v) for k, v in s.items()})
 
 
 def _grid(g: dict) -> tuple[int, np.ndarray | None]:
@@ -173,9 +172,9 @@ def _grid(g: dict) -> tuple[int, np.ndarray | None]:
 
 
 def _z_line(zl: dict) -> dict:
-    out = {"re_min": float(zl["re_min"]), "re_max": float(zl["re_max"]),
+    out = {"re_min": _real(zl["re_min"]), "re_max": _real(zl["re_max"]),
            "count": _count(zl.get("count", 40)),
-           "im": float(zl.get("im", 0.05))}
+           "im": _real(zl.get("im", 0.05))}
     if not out["re_max"] > out["re_min"] or out["count"] < 2:
         raise ValueError("need re_max > re_min and count >= 2")
     if not out["im"] > 0:
@@ -184,7 +183,7 @@ def _z_line(zl: dict) -> dict:
 
 
 def _thresholds(th: dict) -> dict:
-    out = {k: float(v) for k, v in th.items()}
+    out = {k: _real(v) for k, v in th.items()}
     if not all(v > 0 for v in out.values()):
         raise ValueError("thresholds must be positive")
     return out
@@ -207,7 +206,8 @@ _KEYS = {
     "seeds": (_seeds, ()),
     "law": (lambda spec, _: law_from_spec(spec), gaussian_law()),
     "laws": (_laws, ()),
-    "tail_tol": (lambda tol, _: check_tail_tol(tol), DEFAULT_TAIL_TOL),
+    "tail_tol": (lambda tol, _: check_tail_tol(_real(tol)),
+                 DEFAULT_TAIL_TOL),
     "solver": (_section("solver", {"tol", "quad_tol"}, _solver),
                SolverSettings()),
     "grid": (_section("grid", {"n_points", "x"}, _grid),
@@ -217,7 +217,7 @@ _KEYS = {
     "thresholds": (_section("threshold", {"levy", "kolmogorov",
                                           "cross_levy", "gap_ratio"},
                             _thresholds), {}),
-    "caps": (lambda caps, _: check_caps(caps), ()),
+    "caps": (lambda caps, _: check_caps(_real(b) for b in caps), ()),
     "workers": (lambda n, _: _count(n, 1, "must be >= 1"), 1),
     "budget": (lambda n, _: _count(n, 1, "must be >= 1"), DEFAULT_BUDGET),
     "toeplitz": (_section("toeplitz", {"p"}, lambda t: _count(
@@ -247,13 +247,6 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     return ExperimentConfig(raw=raw, **values)
 
 
-def _require(cfg: ExperimentConfig, command: str, *keys) -> None:
-    missing = [key for key in keys if not getattr(cfg, key)]
-    if missing:
-        raise ConfigError([f"command '{command}' needs config section "
-                           f"'{key}'" for key in missing])
-
-
 # ---------------------------------------------------------------------------
 # Artifact helpers.
 
@@ -270,13 +263,6 @@ def _limit_summary(limit: LimitDistribution) -> dict:
     return {"atom0": limit.atom0, "edges": list(limit.edges),
             "total_mass": limit.total_mass,
             "inversion_max_residual": limit.residual_max}
-
-
-def _limit_csv(stage: str, limit: LimitDistribution) -> None:
-    _write_csv(os.path.join(stage, "limit.csv"),
-               ["x", "density", "cdf"],
-               zip(limit.x_grid.tolist(), limit.density.tolist(),
-                   limit.cdf.tolist()))
 
 
 def _pmap(fn, items, workers: int):
@@ -332,9 +318,24 @@ def _row_source(cfg: ExperimentConfig):
     return filt, record
 
 
-def _grid_for(cfg: ExperimentConfig, f: SpectralDensity, c: float):
-    return cfg.x_grid if cfg.x_grid is not None \
-        else default_x_grid(f, c, cfg.grid_points)
+def _limit(cfg: ExperimentConfig, stage: str) -> LimitDistribution:
+    # The limit of the config's density and aspect on its grid (the
+    # default one unless grid.x is set), written to limit.csv.
+    c = cfg.aspect_ratio
+    x = cfg.x_grid if cfg.x_grid is not None \
+        else default_x_grid(cfg.density, c, cfg.grid_points)
+    limit = invert_to_distribution(cfg.density, c, x, cfg.solver)
+    _write_csv(os.path.join(stage, "limit.csv"), ["x", "density", "cdf"],
+               zip(limit.x_grid.tolist(), limit.density.tolist(),
+                   limit.cdf.tolist()))
+    return limit
+
+
+def _gate(cfg: ExperimentConfig, key: str, value):
+    # The threshold thresholds[key] and whether value meets it; an unset
+    # threshold, or a value of None (nothing to judge), passes.
+    gate = cfg.thresholds.get(key)
+    return gate, gate is None or value is None or value <= gate
 
 
 def _h_window(f: SpectralDensity) -> np.ndarray:
@@ -344,10 +345,10 @@ def _h_window(f: SpectralDensity) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.  Each returns (result_dict, passed).
+# Subcommand bodies.  Each returns (result_dict, passed), and runs after
+# run_experiment has checked the config sections _BODIES lists for it.
 
 def _cmd_solve(cfg: ExperimentConfig, stage: str):
-    _require(cfg, "solve", "density", "aspect")
     if cfg.z_line is None and "grid" not in cfg.raw:
         raise ConfigError(["command 'solve' needs 'z_line' and/or 'grid'"])
     c = cfg.aspect_ratio
@@ -373,8 +374,7 @@ def _cmd_solve(cfg: ExperimentConfig, stage: str):
         result["line_points"] = len(rows)
         result["line_max_residual"] = worst
     if "grid" in cfg.raw:
-        limit = invert_to_distribution(f, c, _grid_for(cfg, f, c), cfg.solver)
-        _limit_csv(stage, limit)
+        limit = _limit(cfg, stage)
         _svg.write_overlay(
             os.path.join(stage, "density.svg"),
             [{"xs": limit.x_grid, "ys": limit.density, "label": "limit density"}],
@@ -409,7 +409,6 @@ def _simulate_esds(cfg: ExperimentConfig, stage: str):
 
 
 def _cmd_simulate(cfg: ExperimentConfig, stage: str):
-    _require(cfg, "simulate", "density", "aspect", "seeds")
     esds, pooled, route = _simulate_esds(cfg, stage)
     result = {
         "seeds": list(cfg.seeds),
@@ -423,11 +422,7 @@ def _cmd_simulate(cfg: ExperimentConfig, stage: str):
 
 
 def _cmd_compare(cfg: ExperimentConfig, stage: str):
-    _require(cfg, "compare", "density", "aspect", "seeds")
-    c = cfg.aspect_ratio
-    limit = invert_to_distribution(
-        cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
-    _limit_csv(stage, limit)
+    limit = _limit(cfg, stage)
     limit_cdf = StepCdf.from_limit(limit)
     esds, pooled, route = _simulate_esds(cfg, stage)
     rows = []
@@ -450,8 +445,7 @@ def _cmd_compare(cfg: ExperimentConfig, stage: str):
          {"xs": pooled.eigs, "ys": np.arange(1, pooled.n + 1) / pooled.n,
           "label": "pooled ESD", "kind": "step"}],
         title="Empirical vs limiting CDF", x_label="x", y_label="F(x)")
-    gate = cfg.thresholds.get("levy")
-    passed = True if gate is None else pooled_levy <= gate
+    gate, passed = _gate(cfg, "levy", pooled_levy)
     result = {
         "pooled_levy": pooled_levy,
         "max_seed_levy": max(per_seed),
@@ -465,7 +459,6 @@ def _cmd_compare(cfg: ExperimentConfig, stage: str):
 
 
 def _cmd_toeplitz(cfg: ExperimentConfig, stage: str):
-    _require(cfg, "toeplitz", "density", "toeplitz")
     p = cfg.toeplitz
     esd = symmetric_eigenvalues(toeplitz_matrix(cfg.density, p))
     grid = _h_window(cfg.density)
@@ -492,15 +485,13 @@ def _cmd_toeplitz(cfg: ExperimentConfig, stage: str):
           "label": f"covariance spectrum (p={p})", "kind": "step"}],
         title="Covariance spectrum vs transformed-density law",
         x_label="x", y_label="F(x)")
-    gate = cfg.thresholds.get("kolmogorov")
-    passed = True if gate is None else ko <= gate
+    gate, passed = _gate(cfg, "kolmogorov", ko)
     result = {"order": p, "kolmogorov": ko, "levy": lv,
               "kolmogorov_threshold": gate, "pass": passed}
     return result, passed
 
 
 def _cmd_universality(cfg: ExperimentConfig, stage: str):
-    _require(cfg, "universality", "density", "aspect", "seeds", "laws")
     # every law drives the density's filter on fresh rows, so the matrix
     # cache has nothing to act on
     unread = []
@@ -510,10 +501,7 @@ def _cmd_universality(cfg: ExperimentConfig, stage: str):
         unread.append("'save_matrices' is not read")
     if unread:
         raise ConfigError([f"command 'universality': {m}" for m in unread])
-    c = cfg.aspect_ratio
-    limit = invert_to_distribution(
-        cfg.density, c, _grid_for(cfg, cfg.density, c), cfg.solver)
-    _limit_csv(stage, limit)
+    limit = _limit(cfg, stage)
     limit_cdf = StepCdf.from_limit(limit)
     filt = filter_from_density(cfg.density, tail_tol=cfg.tail_tol)
     jobs = [(i, law, seed) for i, law in enumerate(cfg.laws)
@@ -556,10 +544,9 @@ def _cmd_universality(cfg: ExperimentConfig, stage: str):
     _svg.write_overlay(os.path.join(stage, "universality.svg"), curves,
                        title="One limit, several innovation laws",
                        x_label="x", y_label="F(x)")
-    gate_l = cfg.thresholds.get("levy")
-    gate_x = cfg.thresholds.get("cross_levy")
-    passed = ((gate_l is None or worst_levy <= gate_l)
-              and (gate_x is None or worst_cross <= gate_x))
+    gate_l, pass_l = _gate(cfg, "levy", worst_levy)
+    gate_x, pass_x = _gate(cfg, "cross_levy", worst_cross)
+    passed = pass_l and pass_x
     result = {
         "laws": names,
         "max_levy_to_limit": worst_levy,
@@ -573,10 +560,8 @@ def _cmd_universality(cfg: ExperimentConfig, stage: str):
 
 
 def _cmd_truncation(cfg: ExperimentConfig, stage: str):
-    _require(cfg, "truncation", "density", "aspect", "caps")
-    c = cfg.aspect_ratio
-    ladder = truncation_ladder(cfg.density, c, cfg.caps, cfg.solver,
-                               n_points=cfg.grid_points)
+    ladder = truncation_ladder(cfg.density, cfg.aspect_ratio, cfg.caps,
+                               cfg.solver, n_points=cfg.grid_points)
     rows = []
     for i, (cap, mass) in enumerate(zip(ladder.caps, ladder.masses)):
         gap = ladder.gaps[i] if i < len(ladder.gaps) else float("nan")
@@ -592,8 +577,7 @@ def _cmd_truncation(cfg: ExperimentConfig, stage: str):
                        y_label="F(x)")
     ratios = [ladder.gaps[i + 1] / ladder.gaps[i]
               for i in range(len(ladder.gaps) - 1) if ladder.gaps[i] > 0]
-    gate = cfg.thresholds.get("gap_ratio")
-    passed = True if gate is None or not ratios else max(ratios) <= gate
+    gate, passed = _gate(cfg, "gap_ratio", max(ratios, default=None))
     result = {
         "caps": list(ladder.caps),
         "masses": list(ladder.masses),
@@ -605,13 +589,15 @@ def _cmd_truncation(cfg: ExperimentConfig, stage: str):
     return result, passed
 
 
+# Each command's body and the config sections it needs set.
 _BODIES = {
-    "solve": _cmd_solve,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-    "toeplitz": _cmd_toeplitz,
-    "universality": _cmd_universality,
-    "truncation": _cmd_truncation,
+    "solve": (_cmd_solve, ("density", "aspect")),
+    "simulate": (_cmd_simulate, ("density", "aspect", "seeds")),
+    "compare": (_cmd_compare, ("density", "aspect", "seeds")),
+    "toeplitz": (_cmd_toeplitz, ("density", "toeplitz")),
+    "universality": (_cmd_universality,
+                     ("density", "aspect", "seeds", "laws")),
+    "truncation": (_cmd_truncation, ("density", "aspect", "caps")),
 }
 
 
@@ -645,6 +631,7 @@ def _plain(obj):
 
 def _write_manifest(stage: str, command: str, cfg: ExperimentConfig,
                     result: dict, passed: bool) -> None:
+    # result arrives reduced to built-in types by run_experiment's _plain
     artifacts = {}
     for root, _, files in os.walk(stage):
         for fname in files:
@@ -658,7 +645,7 @@ def _write_manifest(stage: str, command: str, cfg: ExperimentConfig,
         "config_hash": config_hash(cfg.raw),
         "kernel_backend": _kernels.backend_name(),
         "artifacts": dict(sorted(artifacts.items())),
-        "result": _plain(result),
+        "result": result,
         "pass": bool(passed),
     }
     with open(os.path.join(stage, "manifest.json"), "w") as fh:
@@ -669,6 +656,11 @@ def _write_manifest(stage: str, command: str, cfg: ExperimentConfig,
 def run_experiment(command: str, cfg: ExperimentConfig, output_root: str,
                    force: bool = False) -> tuple[str, dict, bool]:
     """Execute one subcommand into an atomically committed run directory."""
+    body, needs = _BODIES[command]
+    missing = [key for key in needs if not getattr(cfg, key)]
+    if missing:
+        raise ConfigError([f"command '{command}' needs config section "
+                           f"'{key}'" for key in missing])
     final_name = f"{command}-{cfg.name}-{config_hash(cfg.raw)[:8]}"
     final_dir = os.path.join(output_root, final_name)
     stage = os.path.join(output_root, f".staging-{final_name}-{os.getpid()}")
@@ -681,7 +673,7 @@ def run_experiment(command: str, cfg: ExperimentConfig, output_root: str,
         shutil.rmtree(stage)
     os.makedirs(stage)
     try:
-        result, passed = _BODIES[command](cfg, stage)
+        result, passed = body(cfg, stage)
         result = _plain(result)
         _write_manifest(stage, command, cfg, result, passed)
         if os.path.exists(final_dir):
@@ -720,7 +712,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gramspec",
         description="Limiting spectra of Gram matrices of stationary rows")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _BODIES:
         sp = sub.add_parser(name, help=f"run the {name} workflow")
         sp.add_argument("--config", required=True,
                         help="path to a JSON config file")

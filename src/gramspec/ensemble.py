@@ -57,7 +57,8 @@ import numpy as np
 from .errors import DomainError, MemoryBudgetError
 from .matrixops import SymMatrix
 from .spectral import (DEFAULT_TAIL_TOL, LinearFilter, SpectralDensity,
-                       _filter_walk, covariance_sequence, filter_from_density)
+                       _check_keys, _filter_walk, _real, covariance_sequence,
+                       filter_from_density)
 
 # Default generation budget, in float64 slots (1 GiB).
 DEFAULT_BUDGET = 2 ** 27
@@ -141,30 +142,16 @@ def rademacher_law() -> InnovationLaw:
     return InnovationLaw("rademacher")
 
 
-def uniform_law() -> InnovationLaw:
-    return InnovationLaw("uniform")
-
-
-def student_t_law(nu: float) -> InnovationLaw:
-    return InnovationLaw("student_t", (float(nu),))
-
-
-def martingale_sign_law() -> InnovationLaw:
-    return InnovationLaw("martingale_sign")
-
-
 def law_from_spec(spec: dict) -> InnovationLaw:
-    """Build an innovation law from a config mapping like {"law": "student_t", "nu": 6}."""
+    """Build an innovation law from a config mapping: {"law": tag}, or
+    {"law": "student_t", "nu": 6} for Student t.  A missing or unknown key,
+    or a nu that is not a number (see spectral._real), is a DomainError."""
     if not isinstance(spec, dict) or "law" not in spec:
         raise DomainError("innovation spec needs a 'law' key")
     tag = spec["law"]
-    if tag == "student_t":
-        if "nu" not in spec:
-            raise DomainError("student_t innovation spec needs 'nu'")
-        return student_t_law(float(spec["nu"]))
-    if tag in _KNOWN_LAWS:
-        return InnovationLaw(tag)
-    raise DomainError(f"unknown innovation law {tag!r}")
+    names = ("nu",) if tag == "student_t" else ()
+    _check_keys(spec, f"{tag} innovation", ("law", *names))
+    return InnovationLaw(tag, tuple(_real(spec[k]) for k in names))
 
 
 def _row_key(seed: int, row: int, stream: int) -> tuple[int, int]:

@@ -78,13 +78,9 @@ class LimitPoint(NamedTuple):
     iterations: int
 
 
-def companion(s: complex, c: float, z: complex) -> complex:
-    """Companion transform: s_under = -(1 - c)/z + c s."""
-    return -(1.0 - c) / z + c * s
-
-
 def companion_inverse(s_under: complex, c: float, z: complex) -> complex:
-    """Invert the companion relation: s = (s_under + (1 - c)/z) / c."""
+    """Invert the companion relation s_under = -(1 - c)/z + c s:
+    s = (s_under + (1 - c)/z) / c."""
     return (s_under + (1.0 - c) / z) / c
 
 
@@ -92,23 +88,21 @@ def companion_inverse(s_under: complex, c: float, z: complex) -> complex:
 # Frequency-grid construction and certification.
 
 @lru_cache(maxsize=64)
-def _nodes(f: SpectralDensity, level: int):
-    edges = quadrature.build_edges(0.0, math.pi, singular=_marks(f),
-                                   base=64 * 2**level)
-    lam, w = quadrature.gauss_nodes(edges, order=12)
+def _nodes(f: SpectralDensity, c: float, level: int):
+    # The level's nodes g = 1/(2 pi f(lam)) and weights folded by c/pi, so
+    # that the lambda-integral is sum w/(s + g); both read-only and held
+    # once per (f, c, level).
+    lam, w = quadrature.gauss_nodes(
+        quadrature.build_edges(singular=_marks(f), base=64 * 2**level))
     fv = density_values(f, lam)
     with np.errstate(divide="ignore"):
         g = 1.0 / (TWO_PI * fv)
     g = np.minimum(g, _G_CAP)    # f == 0 stretches become negligible bins
     g[~np.isfinite(fv)] = 0.0    # singular points: 1/(2 pi f) -> 0
+    w = w * (c / math.pi)
     g.flags.writeable = False
     w.flags.writeable = False
     return g, w
-
-
-def _lambda_integral(s: complex, g: np.ndarray, w: np.ndarray,
-                     c: float) -> complex:
-    return (c / math.pi) * complex(np.sum(w / (s + g)))
 
 
 def _probe_points(g: np.ndarray) -> list[complex]:
@@ -127,16 +121,14 @@ def _probe_points(g: np.ndarray) -> list[complex]:
 
 @lru_cache(maxsize=64)
 def _certified_level(f: SpectralDensity, c: float, target: float) -> int:
-    """Coarsest grid level whose lambda-integral matches the next level to
-    within `target` at a spread of Herglotz probe points."""
+    """Coarsest grid level whose lambda-integral sum w/(s + g) matches the
+    next level's to within `target` at a spread of Herglotz probe points."""
     for level in range(_MAX_LEVEL):
-        g0, w0 = _nodes(f, level)
-        g1, w1 = _nodes(f, level + 1)
-        worst = 0.0
-        for s in _probe_points(g0):
-            diff = abs(_lambda_integral(s, g0, w0, c)
-                       - _lambda_integral(s, g1, w1, c))
-            worst = max(worst, diff)
+        g0, w0 = _nodes(f, c, level)
+        g1, w1 = _nodes(f, c, level + 1)
+        worst = max(abs(complex(np.sum(w0 / (s + g0))
+                                - np.sum(w1 / (s + g1))))
+                    for s in _probe_points(g0))
         if worst <= target:
             return level
     raise QuadratureError(
@@ -215,13 +207,13 @@ def solve_limit_density(f: SpectralDensity, c: float, z: complex,
     level = _level(f, c, settings)
     total_iters = 0
     for k in range(4):
-        g, w = _folded_nodes(f, c, level + k)
+        g, w = _nodes(f, c, level + k)
         if initial is None:
             s, it = _dual_start(z, g, w, settings)
         else:
             s, _, it = _run_start(z, g, w, initial, settings)
         total_iters += it
-        g_fine, w_fine = _folded_nodes(f, c, level + k + 1)
+        g_fine, w_fine = _nodes(f, c, level + k + 1)
         resid_fine = abs(z + 1.0 / s - complex(np.sum(w_fine / (s + g_fine))))
         if resid_fine <= max(settings.tol, 16.0 * _EPS * abs(z)):
             s_plain = companion_inverse(s, c, z)
@@ -236,16 +228,6 @@ def solve_limit_density(f: SpectralDensity, c: float, z: complex,
 
 def _level(f: SpectralDensity, c: float, settings: SolverSettings) -> int:
     return _certified_level(f, c, min(settings.quad_tol, 0.25 * settings.tol))
-
-
-@lru_cache(maxsize=64)
-def _folded_nodes(f: SpectralDensity, c: float, level: int):
-    # the level's nodes with the weights folded by c/pi, held once per
-    # (f, c, level) and read-only, as _nodes holds its own
-    g, w = _nodes(f, level)
-    w = w * (c / math.pi)
-    w.flags.writeable = False
-    return g, w
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +392,7 @@ def invert_to_distribution(f: SpectralDensity, c: float, x_grid,
         raise DomainError("aspect ratio c must be finite and positive")
     settings = settings or SolverSettings()
     atom0 = max(0.0, 1.0 - 1.0 / c)
-    g, w = _folded_nodes(f, c, _level(f, c, settings))
+    g, w = _nodes(f, c, _level(f, c, settings))
     a, b = _support(f, c, g, w)
 
     rho = np.zeros(x.size)

@@ -8,7 +8,12 @@ sum has period 2M in k, so one real FFT of length 2M per offset serves
 every frequency.  The few cells touching a mark (a singularity or a kink)
 are cut by dyadic ladders toward it and summed node by node.  M doubles
 until two successive levels agree to _REL_TOL relative.
-``build_edges`` and ``gauss_nodes`` lay out the limit solver's panels.
+
+The limit solver's panels come from ``build_edges``, which cuts [0, pi]
+into uniform panels with dyadic ladders toward each singular point, and
+``gauss_nodes``, which puts _ORDER (12) Gauss-Legendre points in each
+panel; the limit module folds its weights and caches the nodes per grid
+level.
 """
 
 from __future__ import annotations
@@ -52,18 +57,15 @@ def _ladder(anchor: float, far: float) -> np.ndarray:
     return np.concatenate(([anchor], edges))
 
 
-def build_edges(a: float, b: float, singular=(),
-                base: int = _BASE0) -> np.ndarray:
-    """Panel edges on [a, b] with dyadic ladders toward each singular point.
+def build_edges(singular=(), base: int = _BASE0) -> np.ndarray:
+    """Panel edges on [0, pi] with dyadic ladders toward each singular point.
 
     Each segment between singular points gets `base` uniform panels; a
     ladder runs from the segment's midpoint to each singular end, halving
     its rungs down to the representable bound (see _ladder).
     """
-    if not b > a:
-        raise ValueError("empty integration interval")
-    sing = sorted({float(s) for s in singular if a <= s <= b})
-    cuts = sorted(set([a] + sing + [b]))
+    sing = sorted({float(s) for s in singular if 0.0 <= s <= math.pi})
+    cuts = sorted(set([0.0] + sing + [math.pi]))
     pieces = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         lo_sing = lo in sing

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,14 +49,11 @@ class SpectralDensity:
     base: "SpectralDensity | None" = None
     table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
-    def __call__(self, lam):
-        return eval_density(self, lam)
-
 
 def constant_density(sigma2: float = 1.0) -> SpectralDensity:
     """Flat density sigma^2/(2pi): i.i.d. entries with variance sigma^2."""
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
+    if not 0 < sigma2 < math.inf:
+        raise DomainError("sigma2 must be finite and positive")
     return SpectralDensity("constant", (float(sigma2),))
 
 
@@ -66,15 +64,17 @@ def ar1_density(phi: float, sigma2: float = 1.0) -> SpectralDensity:
     """
     if not -1.0 < phi < 1.0:
         raise DomainError("phi must lie in (-1, 1)")
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
+    if not 0 < sigma2 < math.inf:
+        raise DomainError("sigma2 must be finite and positive")
     return SpectralDensity("ar1", (float(phi), float(sigma2)))
 
 
 def ma1_density(theta: float, sigma2: float = 1.0) -> SpectralDensity:
     """Moving-average lag-1 density sigma^2 |1 + theta e^{i.lam}|^2 / (2pi)."""
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
+    if not math.isfinite(theta):
+        raise DomainError("theta must be finite")
+    if not 0 < sigma2 < math.inf:
+        raise DomainError("sigma2 must be finite and positive")
     return SpectralDensity("ma1", (float(theta), float(sigma2)))
 
 
@@ -86,8 +86,8 @@ def fractional_density(d: float, sigma2: float = 1.0) -> SpectralDensity:
     """
     if not 0.0 < d < 0.5:
         raise DomainError("d must lie in (0, 1/2)")
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
+    if not 0 < sigma2 < math.inf:
+        raise DomainError("sigma2 must be finite and positive")
     return SpectralDensity("fractional", (float(d), float(sigma2)), (0.0,))
 
 
@@ -156,13 +156,6 @@ def probe_values(f: SpectralDensity) -> np.ndarray:
         raise DomainError(
             "density evaluates to +inf everywhere on the probe grid")
     return v
-
-
-def eval_density(f: SpectralDensity, lam: float) -> float:
-    """Density value at a single lam in [-pi, pi]; +inf marks a singularity."""
-    if not -math.pi <= lam <= math.pi:
-        raise DomainError("lambda outside [-pi, pi]")
-    return float(density_values(f, np.asarray([lam]))[0])
 
 
 def _singular_in_half(f: SpectralDensity) -> tuple[float, ...]:
@@ -269,17 +262,6 @@ class LinearFilter:
         if not 0 <= self.tail_bound < math.inf:
             raise DomainError("tail_bound must be finite and >= 0")
 
-    @property
-    def k_min(self) -> int:
-        return -self.offset
-
-    @property
-    def k_max(self) -> int:
-        return self.coeffs.size - 1 - self.offset
-
-    def sum_sq(self) -> float:
-        return float(np.dot(self.coeffs, self.coeffs))
-
 
 def check_tail_tol(tail_tol) -> float:
     """The filter's relative tail tolerance as a float; DomainError unless
@@ -366,22 +348,58 @@ def h_pushforward(f: SpectralDensity, x_grid) -> np.ndarray:
     return measure / total
 
 
+def _real(value) -> float:
+    """A number of a config mapping as a float: DomainError for a bool, a
+    string such as "0.5" or anything else that is not a real number,
+    which is refused rather than coerced.  NaN and the infinities pass, for
+    the validator of the value to judge."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        import json
+        raise DomainError(
+            f"expected a number, got {json.dumps(value, default=repr)}")
+    return float(value)
+
+
+def _check_keys(spec: dict, what: str, needs, may=()) -> None:
+    """DomainError naming the keys of needs that spec lacks, else the keys
+    of spec in neither needs nor may."""
+    missing = [k for k in needs if k not in spec]
+    if missing:
+        raise DomainError(f"{what} spec needs {', '.join(map(repr, missing))}")
+    extra = sorted(set(spec) - set(needs) - set(may))
+    if extra:
+        raise DomainError(f"{what} spec has unknown keys {extra}")
+
+
+# The families built from numbers: constructor and parameter keys, each
+# with an optional sigma2.
+_PARAMETRIC = {"constant": (constant_density, ()),
+               "ar1": (ar1_density, ("phi",)),
+               "ma1": (ma1_density, ("theta",)),
+               "fractional": (fractional_density, ("d",))}
+
+
 def density_from_spec(spec: dict, base_dir=None) -> SpectralDensity:
-    """Build a density from a declarative mapping (config-file form)."""
+    """Build a density from a declarative mapping (config-file form).
+
+    Besides "family" the mapping holds that family's keys and no others:
+    phi (ar1), theta (ma1) or d (fractional), and an optional sigma2 for
+    these and constant; path, a two-column file relative to base_dir, for
+    tabulated; cap and base_family, plus the base family's keys, for
+    truncated-of.  Numbers are read by _real; a missing or unknown key is a
+    DomainError that names it.
+    """
     if not isinstance(spec, dict) or "family" not in spec:
         raise DomainError("density spec must be a mapping with a 'family' key")
     fam = spec["family"]
-    sigma2 = float(spec.get("sigma2", 1.0))
-    if fam == "constant":
-        return constant_density(sigma2)
-    if fam == "ar1":
-        return ar1_density(float(spec["phi"]), sigma2)
-    if fam == "ma1":
-        return ma1_density(float(spec["theta"]), sigma2)
-    if fam == "fractional":
-        return fractional_density(float(spec["d"]), sigma2)
+    if isinstance(fam, str) and fam in _PARAMETRIC:
+        make, names = _PARAMETRIC[fam]
+        _check_keys(spec, f"{fam} density", ("family", *names), ("sigma2",))
+        return make(*(_real(spec[k]) for k in names),
+                    _real(spec.get("sigma2", 1.0)))
     if fam == "tabulated":
         import os
+        _check_keys(spec, "tabulated density", ("family", "path"))
         path = spec["path"]
         if base_dir is not None:
             path = os.path.join(base_dir, path)
@@ -390,9 +408,12 @@ def density_from_spec(spec: dict, base_dir=None) -> SpectralDensity:
             raise DomainError("tabulated density file must have two columns")
         return tabulated_density(data[:, 0], data[:, 1])
     if fam == "truncated-of":
-        inner = {k: v for k, v in spec.items() if k not in ("family", "cap")}
+        # the base family's reader judges the keys left over
+        inner = {k: v for k, v in spec.items()
+                 if k not in ("family", "base_family", "cap")}
+        _check_keys(spec, "truncated-of density",
+                    ("family", "base_family", "cap"), inner)
         inner["family"] = spec["base_family"]
-        del inner["base_family"]
         return truncate_density(density_from_spec(inner, base_dir),
-                                float(spec["cap"]))
+                                _real(spec["cap"]))
     raise DomainError(f"unknown density family {fam!r}")

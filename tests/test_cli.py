@@ -122,6 +122,35 @@ def test_parse_config_refuses_counts_and_flags_it_would_coerce(key, value):
     assert msg.startswith(f"bad '{key}': ")
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("tail_tol", True, "true"),
+    ("caps", ["1", 2], '"1"'),
+    ("caps", "12", '"1"'),
+    ("thresholds", {"levy": "0.08"}, '"0.08"'),
+    ("z_line", dict(SOLVE_CFG["z_line"], re_max=True), "true"),
+    ("z_line", dict(SOLVE_CFG["z_line"], im="0.05"), '"0.05"'),
+    ("solver", {"tol": "1e-10"}, '"1e-10"'),
+], ids=["tail_tol-bool", "caps-string-entry", "caps-string", "thresholds",
+        "z_line.re_max", "z_line.im", "solver.tol"])
+def test_parse_config_refuses_reals_it_would_coerce(key, value, shown):
+    # a real is a JSON number: true is not read as 1.0, nor "0.08" as 0.08
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SOLVE_CFG, **{key: value}))
+    assert exc.value.messages == [
+        f"bad '{key}': expected a number, got {shown}"]
+
+
+def test_missing_sections_are_named_before_any_work(tmp_path, monkeypatch,
+                                                    capsys):
+    # each command names every section it needs that the config lacks
+    cfg = {"name": "bare", "density": {"family": "constant"}}
+    assert _run(tmp_path, monkeypatch, "universality", cfg) == 2
+    assert capsys.readouterr().err == "".join(
+        f"config error: command 'universality' needs config section "
+        f"'{key}'\n" for key in ("aspect", "seeds", "laws"))
+    assert not (tmp_path / "runs").exists()
+
+
 def test_a_fractional_count_from_the_command_line_exits_two(tmp_path,
                                                             monkeypatch,
                                                             capsys):

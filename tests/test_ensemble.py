@@ -27,9 +27,9 @@ TOL = 5.0 / math.sqrt(M)
 LAWS = {
     "gaussian": gramspec.gaussian_law,
     "rademacher": gramspec.rademacher_law,
-    "uniform": gramspec.uniform_law,
-    "student_t": lambda: gramspec.student_t_law(8.0),
-    "martingale_sign": gramspec.martingale_sign_law,
+    "uniform": lambda: gramspec.InnovationLaw("uniform"),
+    "student_t": lambda: gramspec.InnovationLaw("student_t", (8.0,)),
+    "martingale_sign": lambda: gramspec.InnovationLaw("martingale_sign"),
 }
 
 
@@ -48,12 +48,12 @@ def test_rademacher_values_are_signs():
 
 
 def test_uniform_law_is_bounded():
-    x = gramspec.uniform_law().sample(np.random.default_rng(1), 5000)
+    x = LAWS["uniform"]().sample(np.random.default_rng(1), 5000)
     assert float(np.max(np.abs(x))) <= math.sqrt(3.0) + 1e-12
 
 
 def test_martingale_sign_is_uncorrelated_sign_sequence():
-    x = gramspec.martingale_sign_law().sample(np.random.default_rng(3), M)
+    x = LAWS["martingale_sign"]().sample(np.random.default_rng(3), M)
     assert set(np.unique(x)) == {-1.0, 1.0}
     # martingale differences: zero mean and no lag-1 correlation, though
     # the sequence is not independent
@@ -64,9 +64,9 @@ def test_martingale_sign_is_uncorrelated_sign_sequence():
 
 def test_student_t_requires_finite_variance():
     with pytest.raises(DomainError):
-        gramspec.student_t_law(2.0)
+        gramspec.InnovationLaw("student_t", (2.0,))
     with pytest.raises(DomainError):
-        gramspec.student_t_law(1.5)
+        gramspec.InnovationLaw("student_t", (1.5,))
 
 
 def test_law_from_spec():
@@ -79,6 +79,26 @@ def test_law_from_spec():
         gramspec.law_from_spec({"law": "student_t"})  # missing nu
     with pytest.raises(DomainError):
         gramspec.law_from_spec({})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"law": "gaussian", "nu": 3},
+     "gaussian innovation spec has unknown keys ['nu']"),
+    ({"law": "student_t", "nu": 6, "df": 6},
+     "student_t innovation spec has unknown keys ['df']"),
+    ({"law": "student_t"}, "student_t innovation spec needs 'nu'"),
+    ({"law": "student_t", "nu": "6"}, 'expected a number, got "6"'),
+    ({"law": "student_t", "nu": True}, "expected a number, got true"),
+    ({"law": "cauchy"}, "unknown innovation law 'cauchy'"),
+], ids=["gaussian-nu", "student_t-df", "student_t-missing-nu",
+        "student_t-string", "student_t-bool", "unknown-law"])
+def test_law_from_spec_refuses_what_it_would_ignore_or_coerce(spec,
+                                                              message):
+    # a key the law does not take is named, not dropped, and nu is a
+    # number, not a string or a bool read as one
+    with pytest.raises(DomainError) as exc:
+        gramspec.law_from_spec(spec)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +165,7 @@ def test_generate_linear_rows_row_extension_is_stable():
 @pytest.mark.parametrize("flen, n_cols, law", [
     (37, 10, gramspec.rademacher_law()),  # filter longer than a row
     (1, 13, gramspec.gaussian_law()),     # one tap; m = 13 is prime
-    (20, 78, gramspec.student_t_law(6.0)),  # m = 97 is prime
+    (20, 78, gramspec.InnovationLaw("student_t", (6.0,))),  # m = 97 is prime
 ])
 def test_generate_linear_rows_is_valid_convolution(flen, n_cols, law):
     # each row is the "valid" part of the full convolution of its own
@@ -209,7 +229,7 @@ def test_generation_bytes_do_not_depend_on_the_core_count(monkeypatch,
                                               seed=3).values.tobytes()
                 for name in sorted(LAWS)]
         tri = gramspec.generate_stationary_lower_triangle(
-            filt, gramspec.student_t_law(5.0), n_rows, seed=4)
+            filt, gramspec.InnovationLaw("student_t", (5.0,)), n_rows, seed=4)
         return rows, tri.tobytes()
 
     results = []
@@ -585,8 +605,8 @@ def test_memory_budget_counts_each_generator_at_its_peak():
 
 def test_datamatrix_roundtrip(tmp_path):
     filt = gramspec.LinearFilter(0, np.array([1.0, 0.25]))
-    dm = gramspec.generate_linear_rows(filt, gramspec.uniform_law(),
-                                       9, 17, seed=42)
+    dm = gramspec.generate_linear_rows(filt, LAWS["uniform"](), 9, 17,
+                                       seed=42)
     path = tmp_path / "rows.bin"
     gramspec.write_datamatrix(dm, path)
     back = gramspec.read_datamatrix(path)
@@ -597,8 +617,8 @@ def test_datamatrix_roundtrip(tmp_path):
 
 def test_datamatrix_payload_is_the_row_major_values(tmp_path):
     filt = gramspec.LinearFilter(0, np.array([1.0, -0.5]))
-    dm = gramspec.generate_linear_rows(filt, gramspec.student_t_law(5.0),
-                                       4, 6, seed=3)
+    dm = gramspec.generate_linear_rows(
+        filt, gramspec.InnovationLaw("student_t", (5.0,)), 4, 6, seed=3)
     path = tmp_path / "rows.bin"
     gramspec.write_datamatrix(dm, path)
     blob = path.read_bytes()

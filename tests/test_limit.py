@@ -27,8 +27,8 @@ def test_companion_round_trip():
         s = complex(rng.uniform(-2, 2), rng.uniform(0.01, 2))
         z = complex(rng.uniform(-2, 2), rng.uniform(0.01, 2))
         c = float(rng.uniform(0.1, 3.0))
-        assert abs(gramspec.companion_inverse(
-            gramspec.companion(s, c, z), c, z) - s) < 1e-13
+        s_under = -(1.0 - c) / z + c * s  # the companion transform
+        assert abs(gramspec.companion_inverse(s_under, c, z) - s) < 1e-13
 
 
 def test_mp_cdf_oracle_resolves_the_hard_edge():
@@ -71,7 +71,10 @@ def test_h_route_dirac_equals_mp_oracle():
 
 
 @pytest.mark.parametrize("family, param, c", [
-    ("ar1", 0.5, 0.5), ("ma1", 0.5, 0.5), ("ma1", 0.5, 2.0)])
+    ("ar1", 0.5, 0.5), ("ma1", 0.5, 0.5), ("ma1", 0.5, 2.0),
+    # f vanishes at pi (theta = 1) or 0 (theta = -1), where g meets _G_CAP
+    ("ma1", 1.0, 0.5), ("ma1", 1.0, 2.0), ("ma1", -1.0, 0.5),
+    ("ma1", -1.0, 2.0)])
 def test_off_axis_solves_match_the_ar1_and_ma1_closed_forms(family, param,
                                                            c):
     # the quartic roots of the closed forms, away from the real axis
@@ -116,9 +119,9 @@ def test_cold_start_reaches_mp_root_for_tall_aspect():
     c = 2.0
     z = complex(0.1084024161943907, 0.05)
     f = gramspec.constant_density(1.0)
-    g, w = limit._nodes(f, 0)
-    s, resid, _, status = _kernels.fixed_point(
-        z, g, w * (c / math.pi), -1.0 / z, 1e-13, 10_000)
+    g, w = limit._nodes(f, c, 0)
+    s, resid, _, status = _kernels.fixed_point(z, g, w, -1.0 / z, 1e-13,
+                                               10_000)
     assert status == 0 and resid <= 1e-13
     assert abs(s - mp_transform(z, c)) < 1e-10
     pt = gramspec.solve_limit_density(f, c, z)

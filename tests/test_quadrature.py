@@ -17,14 +17,14 @@ from _oracles import fractional_filter_coeff
 
 
 def test_edges_plain_interval_is_uniform():
-    edges = build_edges(0.0, 1.0, base=8)
-    assert edges[0] == 0.0 and edges[-1] == 1.0
+    edges = build_edges(base=8)
+    assert edges[0] == 0.0 and edges[-1] == math.pi
     assert np.all(np.diff(edges) > 0)
-    np.testing.assert_allclose(np.diff(edges), 1.0 / 8, rtol=1e-12)
+    np.testing.assert_allclose(np.diff(edges), math.pi / 8, rtol=1e-12)
 
 
 def test_edges_include_singular_point_and_refine_toward_it():
-    edges = build_edges(0.0, 1.0, singular=(0.0,), base=8)
+    edges = build_edges(singular=(0.0,), base=8)
     assert edges[0] == 0.0
     widths = np.diff(edges)
     # ladder widths shrink geometrically toward the anchor
@@ -33,7 +33,7 @@ def test_edges_include_singular_point_and_refine_toward_it():
 
 
 def test_edges_interior_singularity_gets_two_sided_ladder():
-    edges = build_edges(0.0, 2.0, singular=(1.0,), base=8)
+    edges = build_edges(singular=(1.0,), base=8)
     assert 1.0 in edges
     i = int(np.where(edges == 1.0)[0][0])
     # panels adjacent to the mark are tiny on both sides
@@ -41,17 +41,12 @@ def test_edges_interior_singularity_gets_two_sided_ladder():
     assert edges[i + 1] - edges[i] < 1e-3
 
 
-def test_edges_empty_interval_rejected():
-    with pytest.raises(ValueError):
-        build_edges(1.0, 1.0)
-
-
 def test_gauss_nodes_integrate_polynomial_exactly():
-    edges = build_edges(0.0, 2.0, base=4)
+    edges = build_edges(base=4)
     nodes, weights = gauss_nodes(edges, order=6)
     # degree-7 polynomial is exact under 6-point Gauss panels
     val = float(np.dot(weights, nodes**7))
-    assert abs(val - 2.0**8 / 8) < 1e-12
+    assert val == pytest.approx(math.pi**8 / 8, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Spectral densities, covariance sequences, and square-root filters."""
 
+import cmath
 import math
 
 import numpy as np
@@ -35,26 +36,38 @@ def test_density_even_and_nonnegative(fam):
     assert np.all(plus >= 0)
 
 
+# each family's defining formula at one point, in complex form
+FORMULAS = {
+    "constant": lambda lam: 1.3 / (2 * math.pi),
+    "ar1": lambda lam: 1.0 / (2 * math.pi * abs(1 - 0.5 * cmath.exp(1j * lam))
+                              ** 2),
+    "ma1": lambda lam: 2.0 * abs(1 + 0.4 * cmath.exp(1j * lam)) ** 2
+    / (2 * math.pi),
+    "fractional": lambda lam: abs(1 - cmath.exp(1j * lam)) ** -0.6
+    / (2 * math.pi),
+}
+
+
+def _at(f, lam):
+    return float(spectral.density_values(f, [lam])[0])
+
+
 @pytest.mark.parametrize("fam", sorted(FAMS))
 def test_density_scalar_eval_matches_vectorized(fam):
+    # one point at a time gives the vectorized values, and both are the
+    # family's formula
     f = FAMS[fam]()
-    for lam in (0.1, 1.0, 2.5, math.pi):
-        assert gramspec.eval_density(f, lam) == pytest.approx(
-            float(spectral.density_values(f, np.array([lam]))[0]), rel=1e-14)
-
-
-def test_eval_density_rejects_arrays_and_out_of_range():
-    f = gramspec.constant_density(1.0)
-    with pytest.raises((DomainError, ValueError, TypeError)):
-        gramspec.eval_density(f, np.array([0.1, 0.2]))
-    with pytest.raises(DomainError):
-        gramspec.eval_density(f, 4.0)
+    lams = [0.1, 1.0, 2.5, math.pi]
+    vec = spectral.density_values(f, np.array(lams))
+    for lam, v in zip(lams, vec):
+        assert _at(f, lam) == v
+        assert v == pytest.approx(FORMULAS[fam](lam), rel=1e-13)
 
 
 def test_fractional_singularity_marked_and_infinite():
     f = gramspec.fractional_density(0.3, 1.0)
     assert f.singular_points == (0.0,)
-    assert gramspec.eval_density(f, 0.0) == math.inf
+    assert _at(f, 0.0) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +130,8 @@ def test_filter_from_constant_density_is_single_tap():
     assert center == pytest.approx(math.sqrt(s2), rel=1e-10)
     off = np.delete(filt.coeffs, filt.offset)
     assert float(np.max(np.abs(off))) < 1e-10
-    assert filt.sum_sq() == pytest.approx(s2, rel=1e-10)
+    assert float(np.dot(filt.coeffs, filt.coeffs)) == pytest.approx(
+        s2, rel=1e-10)
     assert filt.tail_bound <= 1e-10
 
 
@@ -125,8 +139,9 @@ def test_fractional_filter_matches_gamma_ratio_oracle():
     d, s2 = 0.3, 1.0
     filt = gramspec.filter_from_density(gramspec.fractional_density(d, s2),
                                         tail_tol=5e-3)
-    assert filt.offset == filt.k_max  # two-sided symmetric support
-    for k in (0, 1, 2, 5, 50, 500, filt.k_max):
+    k_max = filt.coeffs.size - 1 - filt.offset
+    assert filt.offset == k_max  # two-sided symmetric support
+    for k in (0, 1, 2, 5, 50, 500, k_max):
         got = filt.coeffs[filt.offset + k]
         oracle = fractional_filter_coeff(k, d, s2)
         assert abs(got - oracle) / abs(oracle) < 1e-8, f"k={k}"
@@ -144,10 +159,11 @@ def test_fractional_filter_tail_bound_is_honest_parseval_remainder():
     # and equals the true discarded Parseval mass computed from the oracle
     true_tail = c0 - (fractional_filter_coeff(0, d, s2) ** 2
                       + 2.0 * sum(fractional_filter_coeff(k, d, s2) ** 2
-                                  for k in range(1, filt.k_max + 1)))
+                                  for k in range(1, filt.offset + 1)))
     assert filt.tail_bound == pytest.approx(true_tail, rel=1e-3)
     # Parseval: retained mass + tail = c0
-    assert filt.sum_sq() + filt.tail_bound == pytest.approx(c0, rel=1e-6)
+    assert float(np.dot(filt.coeffs, filt.coeffs)) + filt.tail_bound == \
+        pytest.approx(c0, rel=1e-6)
 
 
 def test_filter_tail_tolerance_unreachable_raises(monkeypatch):
@@ -178,12 +194,6 @@ def test_linear_filter_validation():
             gramspec.LinearFilter(0, np.array([1.0]), tail_bound=bad)
 
 
-def test_linear_filter_support_indexing():
-    filt = gramspec.LinearFilter(1, np.array([0.5, 1.0, 0.25]))
-    assert (filt.k_min, filt.k_max) == (-1, 1)
-    assert filt.sum_sq() == pytest.approx(0.25 + 1.0 + 0.0625)
-
-
 # ---------------------------------------------------------------------------
 # density transforms
 
@@ -192,7 +202,7 @@ def test_truncate_density_caps_pointwise():
     f = gramspec.fractional_density(0.3, 1.0)
     g = gramspec.truncate_density(f, 0.5)
     assert g.singular_points == ()
-    assert gramspec.eval_density(g, 0.0) == 0.5
+    assert _at(g, 0.0) == 0.5
     lam = np.linspace(0.01, math.pi, 50)
     fv = spectral.density_values(f, lam)
     gv = spectral.density_values(g, lam)
@@ -215,10 +225,10 @@ def test_tabulated_density_interpolates_and_mirrors():
     f = gramspec.tabulated_density(lams, vals)
     # exact at the table nodes, linear between them, even in lambda
     for lam, v in zip(lams, vals):
-        assert gramspec.eval_density(f, lam) == pytest.approx(v, rel=1e-14)
-        assert gramspec.eval_density(f, -lam) == pytest.approx(v, rel=1e-14)
+        assert _at(f, lam) == pytest.approx(v, rel=1e-14)
+        assert _at(f, -lam) == pytest.approx(v, rel=1e-14)
     mid = 0.5 * (lams[2] + lams[3])
-    assert gramspec.eval_density(f, mid) == pytest.approx(
+    assert _at(f, mid) == pytest.approx(
         0.5 * (vals[2] + vals[3]), rel=1e-14)
 
 
@@ -330,12 +340,12 @@ def test_h_pushforward_rejects_bad_grid():
 def test_density_from_spec_families():
     f = gramspec.density_from_spec({"family": "ar1", "phi": 0.5,
                                     "sigma2": 2.0})
-    assert gramspec.eval_density(f, 1.0) == pytest.approx(
-        gramspec.eval_density(gramspec.ar1_density(0.5, 2.0), 1.0))
+    assert _at(f, 1.0) == pytest.approx(
+        _at(gramspec.ar1_density(0.5, 2.0), 1.0))
     g = gramspec.density_from_spec({"family": "fractional", "d": 0.3})
     assert g.singular_points == (0.0,)
     h = gramspec.density_from_spec({"family": "constant"})
-    assert gramspec.eval_density(h, 0.3) == pytest.approx(1.0 / (2 * math.pi))
+    assert _at(h, 0.3) == pytest.approx(1.0 / (2 * math.pi))
 
 
 def test_density_from_spec_errors():
@@ -343,5 +353,51 @@ def test_density_from_spec_errors():
         gramspec.density_from_spec({"family": "nope"})
     with pytest.raises(DomainError):
         gramspec.density_from_spec({})
-    with pytest.raises((DomainError, KeyError)):
-        gramspec.density_from_spec({"family": "ar1"})  # missing phi
+    with pytest.raises(DomainError, match="ar1 density spec needs 'phi'"):
+        gramspec.density_from_spec({"family": "ar1"})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "constant", "d": 0.3},
+     "constant density spec has unknown keys ['d']"),
+    ({"family": "ar1", "phi": "0.5", "theta": 2},
+     "ar1 density spec has unknown keys ['theta']"),
+    ({"family": "ar1", "phi": "0.5"}, 'expected a number, got "0.5"'),
+    ({"family": "fractional", "d": True}, "expected a number, got true"),
+    ({"family": "ma1", "theta": 0.5, "sigma2": [2]},
+     "expected a number, got [2]"),
+    ({"family": "tabulated", "path": "f.txt", "sigma2": 2.0},
+     "tabulated density spec has unknown keys ['sigma2']"),
+    ({"family": "tabulated"}, "tabulated density spec needs 'path'"),
+    ({"family": "truncated-of", "d": 0.3},
+     "truncated-of density spec needs 'base_family', 'cap'"),
+    ({"family": "truncated-of", "base_family": "fractional", "d": 0.3,
+      "cap": 2.0, "phi": 0.5},
+     "fractional density spec has unknown keys ['phi']"),
+    ({"family": "truncated-of", "base_family": "constant", "cap": "2"},
+     'expected a number, got "2"'),
+], ids=["constant-d", "ar1-theta", "ar1-string", "fractional-bool",
+        "ma1-list", "tabulated-sigma2", "tabulated-path", "truncated-keys",
+        "truncated-base-key", "truncated-cap"])
+def test_density_from_spec_refuses_what_it_would_ignore_or_coerce(spec,
+                                                                  message):
+    # a key the family does not read is named, not dropped; a missing one
+    # is named; a number is a number, not a string or a bool read as one
+    with pytest.raises(DomainError) as exc:
+        gramspec.density_from_spec(spec)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "constant", "sigma2": math.nan},
+    {"family": "ar1", "phi": 0.5, "sigma2": math.nan},
+    {"family": "ma1", "theta": math.nan},
+    {"family": "ma1", "theta": math.inf},
+    {"family": "fractional", "d": 0.3, "sigma2": math.inf},
+], ids=["constant-sigma2", "ar1-sigma2", "ma1-theta-nan", "ma1-theta-inf",
+        "fractional-sigma2"])
+def test_density_parameters_that_are_not_finite_are_refused(spec):
+    # the spec reader lets NaN and infinities through to the constructors,
+    # which refuse them rather than build a density of NaN values
+    with pytest.raises(DomainError):
+        gramspec.density_from_spec(spec)
