@@ -151,6 +151,8 @@ def _seeds(specs, _base_dir) -> tuple[int, ...]:
         raise ValueError("seeds must be distinct")
     if any(s < 0 for s in seeds):
         raise ValueError("seeds must be nonnegative")
+    if any(s >= 2**64 for s in seeds):  # row keys take a seed mod 2**64
+        raise ValueError("seeds must be below 2**64")
     return seeds
 
 
@@ -165,15 +167,24 @@ def _solver(s: dict) -> SolverSettings:
     return SolverSettings(**{k: _real(v) for k, v in s.items()})
 
 
+_MAX_POINTS = 10**6  # per default grid or z line; each point is one solve
+
+
+def _points(value) -> int:
+    if _count(value) > _MAX_POINTS:
+        raise ValueError(f"at most {_MAX_POINTS} points, got {value}")
+    return value
+
+
 def _grid(g: dict) -> tuple[int, np.ndarray | None]:
-    points = check_grid_points(_count(g.get("n_points",
-                                            DEFAULT_GRID_POINTS)))
+    points = check_grid_points(_points(g.get("n_points",
+                                             DEFAULT_GRID_POINTS)))
     return points, (check_x_grid(g["x"]) if "x" in g else None)
 
 
 def _z_line(zl: dict) -> dict:
     out = {"re_min": _real(zl["re_min"]), "re_max": _real(zl["re_max"]),
-           "count": _count(zl.get("count", 40)),
+           "count": _points(zl.get("count", 40)),
            "im": _real(zl.get("im", 0.05))}
     if not out["re_max"] > out["re_min"] or out["count"] < 2:
         raise ValueError("need re_max > re_min and count >= 2")
@@ -240,7 +251,8 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
             values[key] = read(raw[key], base_dir) if key in raw else unset
         except ConfigError as exc:
             errors.extend(exc.messages)
-        except (GramspecError, KeyError, TypeError, ValueError) as exc:
+        except (GramspecError, KeyError, TypeError, ValueError,
+                OSError) as exc:  # OSError: a density file that cannot be read
             errors.append(f"bad {key!r}: {exc}")
     if errors:
         raise ConfigError(errors)

@@ -15,10 +15,10 @@ point inside the support takes one solve just above the axis, warm-started
 from its neighbour (as in Dobriban's SPECTRODE), and the CDF is read
 pointwise off an exact antiderivative; see invert_to_distribution.
 
-Every accepted solve carries a residual certificate: the frequency grid is
-re-selected at a tenth of the quadrature tolerance and the residual of the
-accepted iterate must stay below the solver tolerance on that finer grid,
-otherwise the solve escalates to the finer grid and tries again.  Both the
+Every solve certifies its own frequency-grid level, walking up from the
+coarsest until its residual on the next level's nodes meets the solver
+tolerance, both as it stands and as the error in s it implies; the support
+edges walk up until two levels agree to the quadrature tolerance.  The
 Newton target and the certificate have a floor of a few eps |z|, the
 rounding error of the residual itself.
 """
@@ -54,10 +54,10 @@ DEFAULT_GRID_POINTS = 480
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances of the solver: tol, the Newton residual each accepted
-    solve must meet; quad_tol, that of the frequency grid, certified at
-    min(quad_tol, tol / 4) (_level).  Each start may take _MAX_ITER Newton
-    iterations."""
+    """Tolerances of the solver: tol, the residual each solve must meet on
+    the next grid level (solve_limit_density); quad_tol, the relative gap
+    that certifies the support edges of two consecutive levels
+    (_certified_support).  Each start may take _MAX_ITER Newton steps."""
 
     tol: float = 1e-12
     quad_tol: float = 1e-10
@@ -70,12 +70,13 @@ class SolverSettings:
 
 
 class LimitPoint(NamedTuple):
-    """One accepted solve: companion transform first, plain transform second."""
+    """One accepted solve: companion transform, plain one, grid level."""
 
     s_under: complex
     s: complex
     residual: float
     iterations: int
+    level: int
 
 
 def companion_inverse(s_under: complex, c: float, z: complex) -> complex:
@@ -85,7 +86,7 @@ def companion_inverse(s_under: complex, c: float, z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Frequency-grid construction and certification.
+# Frequency-grid construction.
 
 @lru_cache(maxsize=64)
 def _nodes(f: SpectralDensity, c: float, level: int):
@@ -103,37 +104,6 @@ def _nodes(f: SpectralDensity, c: float, level: int):
     g.flags.writeable = False
     w.flags.writeable = False
     return g, w
-
-
-def _probe_points(g: np.ndarray) -> list[complex]:
-    finite = g[g < 0.5 * _G_CAP]
-    if finite.size == 0:
-        finite = np.array([1.0])
-    qs = _arrays.quantiles(finite, [0.05, 0.25, 0.5, 0.75, 0.95])
-    probes = []
-    for q in qs:
-        scale = 1.0 + q
-        for eta in (3e-3, 5e-2, 0.5):
-            probes.append(complex(-q, eta * scale))
-    probes.append(complex(0.0, 1.0))
-    return probes
-
-
-@lru_cache(maxsize=64)
-def _certified_level(f: SpectralDensity, c: float, target: float) -> int:
-    """Coarsest grid level whose lambda-integral sum w/(s + g) matches the
-    next level's to within `target` at a spread of Herglotz probe points."""
-    for level in range(_MAX_LEVEL):
-        g0, w0 = _nodes(f, c, level)
-        g1, w1 = _nodes(f, c, level + 1)
-        worst = max(abs(complex(np.sum(w0 / (s + g0))
-                                - np.sum(w1 / (s + g1))))
-                    for s in _probe_points(g0))
-        if worst <= target:
-            return level
-    raise QuadratureError(
-        f"frequency grid did not certify to {target:.2e} within "
-        f"{_MAX_LEVEL} refinement levels")
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +162,12 @@ def solve_limit_density(f: SpectralDensity, c: float, z: complex,
     """Solve the limiting equation for spectral density f at one z in C+.
 
     With no `initial`, runs the two canonical starts -1/z and i and requires
-    them to agree (uniqueness probe); a warm start skips the probe.  The
-    solve runs on the nodes of the certified level plus k and its residual
-    is certified on those of level plus k + 1; a failed certificate moves
-    on to the next k, for at most four attempts.
-    """
+    them to agree (uniqueness probe); a warm start skips the probe.  Levels
+    L = 0 .. _MAX_LEVEL are tried in turn, each from the last one's iterate,
+    and L stands when the residual r on the level-(L + 1) nodes meets
+    r <= tol and r <= tol |s x'(s)| (x' on the level-L nodes): the error in
+    s that r stands for, r / |x'(s)|, is within tol of |s|.  Both bounds
+    have a floor of 16 eps |z|."""
     z = complex(z)
     if not (z.imag > 0 and cmath.isfinite(z)):
         raise DomainError("z must be finite and lie in the open upper "
@@ -204,30 +175,28 @@ def solve_limit_density(f: SpectralDensity, c: float, z: complex,
     if not 0 < c < math.inf:
         raise DomainError("aspect ratio c must be finite and positive")
     settings = settings or SolverSettings()
-    level = _level(f, c, settings)
     total_iters = 0
-    for k in range(4):
-        g, w = _nodes(f, c, level + k)
+    for level in range(_MAX_LEVEL + 1):
+        g, w = _nodes(f, c, level)
         if initial is None:
             s, it = _dual_start(z, g, w, settings)
         else:
             s, _, it = _run_start(z, g, w, initial, settings)
         total_iters += it
-        g_fine, w_fine = _nodes(f, c, level + k + 1)
+        g_fine, w_fine = _nodes(f, c, level + 1)
         resid_fine = abs(z + 1.0 / s - complex(np.sum(w_fine / (s + g_fine))))
-        if resid_fine <= max(settings.tol, 16.0 * _EPS * abs(z)):
+        # below the rounding floor the slope is not needed, so not computed
+        if resid_fine <= 16.0 * _EPS * abs(z) or resid_fine <= settings.tol \
+                * min(1.0, abs(s * _slope(s, g, w))):
             s_plain = companion_inverse(s, c, z)
             if s_plain.imag <= 0:
                 raise HerglotzLoss(
                     f"recovered transform has Im <= 0 at z={z!r}")
-            return LimitPoint(s, s_plain, resid_fine, total_iters)
+            return LimitPoint(s, s_plain, resid_fine, total_iters, level)
+        initial = s
     raise QuadratureError(
         f"residual certificate kept failing at z={z!r} through grid "
-        f"level {level + 4}")
-
-
-def _level(f: SpectralDensity, c: float, settings: SolverSettings) -> int:
-    return _certified_level(f, c, min(settings.quad_tol, 0.25 * settings.tol))
+        f"level {_MAX_LEVEL}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +279,9 @@ class LimitDistribution:
         return 0
 
 
-def _slope(s: float, g: np.ndarray, w: np.ndarray) -> float:
-    """x'(s) of the inverse x(s) = -1/s + sum w/(s + g)."""
-    return 1.0 / (s * s) - float(np.sum(w / (s + g) ** 2))
+def _slope(s: complex, g: np.ndarray, w: np.ndarray) -> complex:
+    """x'(s) of the inverse x(s) = -1/s + sum w/(s + g), real for a real s."""
+    return 1.0 / (s * s) - np.sum(w / (s + g) ** 2)
 
 
 def _critical_point(g, w, up: float, down: float) -> float:
@@ -360,6 +329,21 @@ def _support(f: SpectralDensity, c: float, g, w) -> tuple[float, float]:
     return a, b
 
 
+def _certified_support(f: SpectralDensity, c: float,
+                       quad_tol: float) -> tuple[float, float]:
+    """_support on the coarsest grid level whose edges both agree with the
+    next level's to quad_tol relative; an infinite b agrees with itself."""
+    edges = _support(f, c, *_nodes(f, c, 0))
+    for level in range(1, _MAX_LEVEL + 2):
+        finer = _support(f, c, *_nodes(f, c, level))
+        if all(math.isclose(e, e_fine, rel_tol=quad_tol)
+               for e, e_fine in zip(edges, finer)):
+            return edges
+        edges = finer
+    raise QuadratureError(f"support edges moved by over {quad_tol:.2e} "
+                          f"at every grid level through {_MAX_LEVEL}")
+
+
 def _antiderivative_imag(s: complex, z: complex, g, w) -> float:
     """Im Phi for Phi = s z + log s - sum w log(s + g).  dPhi/ds is the
     residual z + 1/s - sum w/(s + g), which vanishes on the solution
@@ -377,23 +361,23 @@ def invert_to_distribution(f: SpectralDensity, c: float, x_grid,
     """Recover the limiting distribution on a positive grid of real points.
 
     The support [a, b] comes first: the critical values of the explicit
-    inverse x(s) on the certified frequency nodes (see _support).  Grid points
-    outside it get density 0 and CDF atom0 (below a) or 1 (above b), with
-    no solve.  Points inside are solved at z = x + i 1e-8 x from right to
-    left, each warm-started from its right neighbour; the first runs the
-    cold two-start uniqueness probe.  The density is Im s/pi with the known
-    zero atom max(0, 1 - 1/c) removed from s; the companion CDF is
-    Im Phi/pi for the antiderivative Phi of the companion transform, on
-    the same nodes as the solve, and is mapped to the CDF by
-    F = (F_under - (1 - c))/c.  The returned x_grid is the grid passed.
+    inverse x(s) on the nodes of the level that certifies them
+    (_certified_support).  Grid points outside it get density 0 and CDF
+    atom0 (below a) or 1 (above b), with no solve.  Points inside are
+    solved at z = x + i 1e-8 x from right to left, each warm-started from
+    its right neighbour; the first runs the cold two-start uniqueness
+    probe.  The density is Im s/pi with the known zero atom
+    max(0, 1 - 1/c) removed from s; the companion CDF is Im Phi/pi for the
+    antiderivative Phi of the companion transform, on the nodes of the
+    solve's level, and is mapped to the CDF by F = (F_under - (1 - c))/c.
+    The returned x_grid is the grid passed.
     """
     x = check_x_grid(x_grid)
     if not 0 < c < math.inf:
         raise DomainError("aspect ratio c must be finite and positive")
     settings = settings or SolverSettings()
     atom0 = max(0.0, 1.0 - 1.0 / c)
-    g, w = _nodes(f, c, _level(f, c, settings))
-    a, b = _support(f, c, g, w)
+    a, b = _certified_support(f, c, settings.quad_tol)
 
     rho = np.zeros(x.size)
     cdf = np.where(x <= a, atom0, 1.0)
@@ -405,7 +389,8 @@ def invert_to_distribution(f: SpectralDensity, c: float, x_grid,
         s_prev = pt.s_under
         resid_max = max(resid_max, pt.residual)
         rho[j] = max((pt.s + atom0 / z).imag / math.pi, 0.0)
-        under = _antiderivative_imag(pt.s_under, z, g, w) / math.pi
+        under = _antiderivative_imag(pt.s_under, z,
+                                     *_nodes(f, c, pt.level)) / math.pi
         cdf[j] = (under - (1.0 - c)) / c
     edges = (a,) if math.isinf(b) else (a, b)
     return LimitDistribution(x, rho, cdf, atom0, c, edges, resid_max)

@@ -121,7 +121,8 @@ def ar1_transform(z: complex, c: float, phi: float,
 
 
 def ar1_edges(c: float, phi: float, sigma2: float = 1.0) -> list[float]:
-    """Support edges of the AR(1) limit, increasing.
+    """Support edges of the AR(1) limit, increasing; at c = 1 the hard
+    edge 0 is not among them.
 
     On the real s axis off the poles, |s + alpha| > |beta|, the inverse is
     x(s) = -1/s + c/r with r^2 = (s + alpha)^2 - beta^2 and r of the sign
@@ -231,7 +232,8 @@ def ma1_transform(z: complex, c: float, theta: float,
 
 
 def ma1_edges(c: float, theta: float, sigma2: float = 1.0) -> list[float]:
-    """Support edges of the MA(1) limit, increasing, for c != 1.
+    """Support edges of the MA(1) limit, increasing; at c = 1 the hard
+    edge 0 is not among them.
 
     On the real s axis where Q = R^2 = 1 + 2as + (a^2 - b^2)s^2 > 0, the
     inverse is x(s) = -1/s + (c/s)(1 - 1/R) with R of the sign of 1 + as,
@@ -239,14 +241,16 @@ def ma1_edges(c: float, theta: float, sigma2: float = 1.0) -> list[float]:
     Squared, that is the sextic (c - 1)^2 Q^3 = c^2 P^2.  Squaring adds the
     roots of (c - 1) R Q = -c P, so a root is kept only where the unsquared
     equation holds; the edges are the positive critical values x(s) there
-    (Silverstein & Choi 1995)."""
+    (Silverstein & Choi 1995).  At c = 1 the sextic is -P^2, whose double
+    roots np.roots splits off the real axis, so the roots of P are taken,
+    where the unsquared equation 0 = P holds by construction."""
     a, b = _ma1_coefficients(theta, sigma2)
     q = np.array([a * a - b * b, 2.0 * a, 1.0])
     p = np.array([2.0 * (a * a - b * b), 3.0 * a, 1.0])
     sextic = np.polysub((c - 1.0) ** 2 * np.polymul(np.polymul(q, q), q),
                         c * c * np.polymul(p, p))
     edges = []
-    for root in np.roots(sextic):
+    for root in np.roots(p if c == 1.0 else sextic):
         if abs(root.imag) > 1e-9 * abs(root):
             continue
         s = float(root.real)
@@ -255,7 +259,7 @@ def ma1_edges(c: float, theta: float, sigma2: float = 1.0) -> list[float]:
             continue
         r = math.copysign(math.sqrt(qs), 1.0 + a * s)
         lhs, rhs = (c - 1.0) * r * qs, c * float(np.polyval(p, s))
-        if abs(lhs - rhs) > 1e-6 * abs(lhs + rhs):
+        if c != 1.0 and abs(lhs - rhs) > 1e-6 * abs(lhs + rhs):
             continue
         x = -1.0 / s + (c / s) * (1.0 - 1.0 / r)
         if x > 0:

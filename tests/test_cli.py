@@ -475,6 +475,44 @@ def test_config_errors_exit_two(tmp_path, monkeypatch):
     assert cli.main(["solve", "--config", str(notjson)]) == 2
 
 
+@pytest.mark.parametrize("path", ["nofile.txt", "tables"],
+                         ids=["missing", "directory"])
+def test_an_unreadable_tabulated_path_exits_two_naming_it(
+        tmp_path, monkeypatch, capsys, path):
+    (tmp_path / "tables").mkdir()
+    cfg = dict(SOLVE_CFG, density={"family": "tabulated", "path": path})
+    assert _run(tmp_path, monkeypatch, "solve", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad 'density': ")
+    assert str(tmp_path / path) in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_parse_config_refuses_seeds_from_two_to_the_64():
+    # rows are keyed by the seed mod 2**64, so seed 2**64 would draw seed
+    # 0's numbers under another name
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(dict(SIM_CFG, seeds=[0, 2**64]))
+    assert exc.value.messages == ["bad 'seeds': seeds must be below 2**64"]
+    assert cli.parse_config(dict(SIM_CFG, seeds=[0, 2**64 - 1])).seeds == \
+        (0, 2**64 - 1)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid", {"n_points": 10**11}),
+    ("z_line", dict(SOLVE_CFG["z_line"], count=10**11))])
+def test_point_counts_past_the_bound_exit_two_before_any_work(
+        tmp_path, monkeypatch, capsys, key, value):
+    # 10**11 points would ask numpy for hundreds of GiB
+    assert _run(tmp_path, monkeypatch, "solve",
+                dict(SOLVE_CFG, **{key: value})) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad '{key}': at most 1000000 points, "
+        f"got 100000000000\n")
+    assert not (tmp_path / "runs").exists()
+    assert cli.parse_config(dict(SOLVE_CFG, grid={"n_points": 10**6}))
+
+
 def test_save_and_load_matrices_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("GRAMSPEC_OUTPUT_ROOT", str(tmp_path / "runs"))
     cfg = dict(SIM_CFG, save_matrices=True)

@@ -228,31 +228,58 @@ def test_inversion_is_exact_for_constant_density(c):
     assert np.all(lim.density[outside] == 0.0)
 
 
-@pytest.mark.parametrize("phi, c", [(0.7, 0.5), (0.95, 0.5), (0.9, 2.0)])
+_CS = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("phi, c", [
+    (0.7, 0.5), (0.95, 0.5), (0.9, 2.0),
+    *((phi, c) for phi in (-0.9, 0.5) for c in _CS),
+    # near-poles of the integrand far out in the tail: the first needs
+    # grid levels 8 and 9 for x in (170, 360), and the second reads its
+    # CDF off the nodes of each point's own level
+    (-0.95, 0.1), (0.9, 0.05)])
 def test_inversion_matches_the_ar1_closed_form(phi, c):
     # the AR(1) limit in closed form (quartic root, and the antiderivative
     # from (1/pi) int log(A - B cos) = log((A + sqrt(A^2 - B^2))/2)) at the
     # package's own evaluation points x + i 1e-8 x; it pins the CDF read
-    # off arguments, the sum of w arg(s + g) term included
+    # off arguments, the sum of w arg(s + g) term included.  240 points
+    # put 41 inside the narrow support of phi = -0.9 at c = 4.
     f = gramspec.ar1_density(phi)
-    grid = gramspec.default_x_grid(f, c, 200)
+    grid = gramspec.default_x_grid(f, c, 240)
     lim = gramspec.invert_to_distribution(f, c, grid)
     rho, cdf = ar1_limit(grid, c, phi, eta=1e-8)
-    np.testing.assert_allclose(lim.edges, ar1_edges(c, phi), rtol=1e-8,
-                               atol=0.0)
+    # at c = 1 the oracle leaves out the hard edge 0
+    edges = [0.0, *ar1_edges(c, phi)] if c == 1.0 else ar1_edges(c, phi)
+    np.testing.assert_allclose(lim.edges, edges, rtol=1e-8, atol=0.0)
     inside = lim.density > 0
     assert inside.sum() >= 40
     np.testing.assert_allclose(lim.density[inside], rho[inside], rtol=1e-8,
                                atol=0.0)
     # outside the package's support the closed form is O(1e-8) too
     assert np.all(rho[~inside] <= 1e-6)
-    assert float(np.max(np.abs(lim.cdf - cdf))) <= 1e-6
+    assert float(np.max(np.abs(lim.cdf - cdf))) <= 2e-7
     assert abs(lim.total_mass - cdf[-1]) <= 1e-6
     assert abs(lim.total_mass - 1.0) <= 1e-6
 
 
-@pytest.mark.parametrize("theta, c", [(0.5, 0.5), (0.5, 2.0), (0.9, 0.5),
-                                      (0.9, 2.0)])
+def test_quad_tol_picks_the_grid_level_of_the_support_edges():
+    # the AR(1) phi = 0.95 upper edge at c = 0.5 moves by 2.4e-8 (relative)
+    # from grid level 0 to 1 and by 2.8e-11 from 1 to 2; both grid points
+    # lie below the support, so only the edges are computed
+    f = gramspec.ar1_density(0.95)
+    b = ar1_edges(0.5, 0.95)[1]
+    for quad_tol, lo, hi in ((1e-6, 1e-8, 1e-7), (1e-9, 1e-12, 1e-10)):
+        lim = gramspec.invert_to_distribution(
+            f, 0.5, [1e-3, 2e-3], gramspec.SolverSettings(quad_tol=quad_tol))
+        assert lo < abs(lim.edges[1] / b - 1.0) < hi
+
+
+@pytest.mark.parametrize("theta, c", [
+    *((0.5, c) for c in _CS), (0.9, 0.5), (0.9, 2.0),
+    # theta = +-1 has a zero of f, and at c = 1 a hard edge where
+    # |x'(s)| ~ 1e-9 (x ~ 2e-6): a residual small only in absolute terms
+    # leaves the density there 1.8e-7 off
+    *((theta, c) for theta in (-1.0, 1.0) for c in (1.0, 2.0, 4.0))])
 def test_inversion_matches_the_ma1_closed_form(theta, c):
     # the MA(1) limit in closed form: the integral is (1/s)(1 - 1/R) with
     # R^2 = (1 + s a)^2 - (s b)^2, and the antiderivative takes the same
@@ -261,8 +288,8 @@ def test_inversion_matches_the_ma1_closed_form(theta, c):
     grid = gramspec.default_x_grid(f, c, 200)
     lim = gramspec.invert_to_distribution(f, c, grid)
     rho, cdf = ma1_limit(grid, c, theta, eta=1e-8)
-    np.testing.assert_allclose(lim.edges, ma1_edges(c, theta), rtol=1e-8,
-                               atol=0.0)
+    edges = [0.0, *ma1_edges(c, theta)] if c == 1.0 else ma1_edges(c, theta)
+    np.testing.assert_allclose(lim.edges, edges, rtol=1e-8, atol=0.0)
     inside = lim.density > 0
     assert inside.sum() >= 40
     np.testing.assert_allclose(lim.density[inside], rho[inside], rtol=1e-8,
