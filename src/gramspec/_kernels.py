@@ -5,11 +5,11 @@ of 32 columns applied as one product, those of the last 32 columns one at
 a time), on a copy scaled once by an exact power of two where EISPACK
 tred1 rescales every row, with rows whose h = v.v falls below 2^-1000
 taken as already reduced; the eigenvalues of the tridiagonal matrix, by
-root-free implicit-shift QL (a plain Python loop on Python floats) up to
-order 200, where it is the faster of the two, and by divide and conquer
-above, whose merges solve all their secular equation roots at once in
-numpy; the trace of the tridiagonal resolvent, ``resolvent_trace``, by
-pivots in O(n); and ``fixed_point``, the safeguarded Newton iteration
+divide and conquer, whose leaves of order at most 32 run implicit-shift
+QL (a plain Python loop on Python floats) and whose merges solve all
+their secular equation roots at once in numpy, so an order up to 32 is
+one QL leaf; the trace of the tridiagonal resolvent, ``resolvent_trace``,
+by pivots in O(n); and ``fixed_point``, the safeguarded Newton iteration
 that solves the limiting equation.  The eigenvalue routines raise
 EigenNonConvergence themselves when an iteration hits its cap.
 """
@@ -35,9 +35,10 @@ def backend_name() -> str:
 # Panel width: reflectors whose rank-2 updates are deferred and applied to the
 # trailing block as one product.
 _NB = 32
-# A row of the scaled matrix whose h = v.v is below this counts as already
-# reduced.
-_H_MIN = 2.0 ** -1000
+# A value of a unit-scaled matrix below this counts as zero: a row whose
+# h = v.v falls below it as already reduced, an off-diagonal below it as
+# deflated in the QL leaves.
+_TINY = 2.0 ** -1000
 
 
 def _exponent(top: float) -> int:
@@ -90,7 +91,7 @@ def tridiagonalize(a: np.ndarray):
         v[:] = a[i, :i]
         h = float(v @ v)
         blk = a[:i, :i]
-        if h < _H_MIN:
+        if h < _TINY:
             e[i] = a[i, i - 1]
         else:
             f = float(v[-1])
@@ -116,21 +117,17 @@ def tridiagonalize(a: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal eigenvalues: root-free implicit-shift QL up to order _QL_MAX,
-# divide and conquer above.
+# Tridiagonal eigenvalues: divide and conquer, with QL at its leaves.
 # Input convention: e[i] couples rows i-1 and i (e[0] unused).
 
-# Largest order solved by QL: the crossover below which the QL loop beats the
-# divide and conquer.
-_QL_MAX = 200
 # Leaf size of the divide and conquer, whose leaves run QL.
 _LEAF = 32
 # Secular roots solved together: bounds the (order x _CHUNK) work arrays.
 _CHUNK = 128
 # Iteration cap of one secular root, as in LAPACK dlaed4.
 _SECULAR_MAXIT = 30
-# QL sweeps allowed per row of the matrix: an order-n matrix, or the leaves
-# of its divide and conquer together, get _SWEEPS_PER_ROW * n.
+# QL sweeps allowed per row of the matrix: the leaves of an order-n
+# matrix's divide and conquer together get _SWEEPS_PER_ROW * n.
 _SWEEPS_PER_ROW = 30
 
 
@@ -156,70 +153,20 @@ def _sweep_cap(index: int) -> EigenNonConvergence:
 def tridiagonal_eigenvalues(d, e) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal matrix (d, e), sorted.
 
-    The matrix is first scaled to unit size by _unit_scaled.  Up to order
-    _QL_MAX the eigenvalues come from implicit-shift QL in the root-free
-    form of Pal, Walker and Kahan (LAPACK dsterf): it runs on the squared
-    off-diagonals, so a rotation needs no square root.
-    The shift is the eigenvalue of the leading 2x2 block nearer d[l]; row l
-    deflates once e[l]^2 <= eps^2 (|d[l]| + |d[l+1]|)^2, the test of
-    EISPACK tql1.  The loop runs on Python floats, where indexing costs far
-    less than on numpy scalars.  Larger orders go to the divide and conquer
-    of _divide, whose leaves share one budget of sweeps.
+    The matrix is first scaled to unit size by _unit_scaled, then solved
+    by the divide and conquer of _divide without eigenvector rows: up to
+    order _LEAF that is one QL leaf, above it the merges of QL leaves.
 
-    Raises EigenNonConvergence when the sweeps exceed _SWEEPS_PER_ROW * n,
-    with the index k of the row whose eigenvalue was being deflated, or
-    when a secular root of the divide and conquer does not converge in
-    _SECULAR_MAXIT iterations, with k = lo + i for root i of the merge of
-    the rows from lo on.
+    Raises EigenNonConvergence when the leaves' sweeps together exceed
+    _SWEEPS_PER_ROW * n, with the index k of the row whose eigenvalue was
+    being deflated, or when a secular root of a merge does not converge
+    in _SECULAR_MAXIT iterations, with k = lo + i for root i of the merge
+    of the rows from lo on.
     """
     d, b, scale_exp = _unit_scaled(d, e)
-    n = d.size
-    cap = _SWEEPS_PER_ROW * n
-    if n > _QL_MAX:
-        # the signs of the off-diagonals do not change the spectrum
-        eigs = _divide(d, np.abs(b), 0, [cap], rows=False)[0]
-        return np.ldexp(eigs, scale_exp)
-    d = d.tolist()
-    e2 = (b * b).tolist() + [0.0]
-    eps2 = _EPS * _EPS
-    total = 0
-    for l in range(n):
-        while True:
-            m = l
-            while m < n - 1:
-                t = abs(d[m]) + abs(d[m + 1])
-                if e2[m] <= eps2 * t * t:
-                    break
-                m += 1
-            if m == l:
-                break
-            total += 1
-            if total > cap:
-                raise _sweep_cap(l)
-            e2[m] = 0.0
-            rte = math.sqrt(e2[l])
-            sigma = (d[l + 1] - d[l]) / (2.0 * rte)
-            r = math.hypot(sigma, 1.0)
-            sigma = d[l] - rte / (sigma + (r if sigma >= 0.0 else -r))
-            c = 1.0
-            s = 0.0  # so the first rotation writes e2[m] = 0 back
-            gamma = d[m] - sigma
-            p = gamma * gamma
-            for i in range(m - 1, l - 1, -1):
-                bb = e2[i]
-                r = p + bb
-                e2[i + 1] = s * r
-                oldc = c
-                c = p / r
-                s = bb / r
-                oldgam = gamma
-                alpha = d[i]
-                gamma = c * (alpha - sigma) - s * oldgam
-                d[i + 1] = oldgam + (alpha - gamma)
-                p = gamma * gamma / c if c != 0.0 else oldc * bb
-            e2[l] = s * p
-            d[l] = sigma + gamma
-    return np.ldexp(np.sort(d), scale_exp)
+    # the signs of the off-diagonals do not change the spectrum
+    eigs = _divide(d, np.abs(b), 0, [_SWEEPS_PER_ROW * d.size], rows=False)[0]
+    return np.ldexp(eigs, scale_exp)
 
 
 def resolvent_trace(d, e, z: complex) -> complex:
@@ -275,7 +222,7 @@ def _divide(d, b, lo: int, budget: list, rows: bool = True):
     """
     n = d.size
     if n <= _LEAF:
-        return _leaf(d, b, lo, budget)
+        return _leaf(d, b, lo, budget, rows)
     m = n // 2
     beta = float(b[m - 1])
     d = d.copy()
@@ -294,12 +241,14 @@ def _divide(d, b, lo: int, budget: list, rows: bool = True):
                   2.0 * beta, outer, lo)
 
 
-def _leaf(d, b, lo: int, budget: list):
+def _leaf(d, b, lo: int, budget: list, rows: bool):
     """_divide's result for a leaf, by implicit-shift QL in the explicit
     form of EISPACK tql2 on Python floats, with the rotations applied to
-    the first and last rows of the eigenvector matrix only.  Row l
-    deflates once |b[l]| <= eps (|d[l]| + |d[l+1]|), the test of the
-    root-free loop."""
+    the first and last rows of the eigenvector matrix only, and only if
+    rows.  Row l deflates once |b[l]| <= eps (|d[l]| + |d[l+1]|), the
+    test of tql2, or once |b[l]| < _TINY: in a unit-scaled block whose
+    entries are denormal, eps times the diagonal underflows to 0, and the
+    sweeps never bring b[l] to an exact zero."""
     n = d.size
     d = d.tolist()
     e = b.tolist() + [0.0]
@@ -310,7 +259,8 @@ def _leaf(d, b, lo: int, budget: list):
         while True:
             m = l
             while m < n - 1:
-                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
+                em = abs(e[m])
+                if em <= _EPS * (abs(d[m]) + abs(d[m + 1])) or em < _TINY:
                     break
                 m += 1
             if m == l:
@@ -340,18 +290,21 @@ def _leaf(d, b, lo: int, budget: list):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - bb
-                x = first[i]
-                y = first[i + 1]
-                first[i] = c * x - s * y
-                first[i + 1] = s * x + c * y
-                x = last[i]
-                y = last[i + 1]
-                last[i] = c * x - s * y
-                last[i + 1] = s * x + c * y
+                if rows:
+                    x = first[i]
+                    y = first[i + 1]
+                    first[i] = c * x - s * y
+                    first[i + 1] = s * x + c * y
+                    x = last[i]
+                    y = last[i + 1]
+                    last[i] = c * x - s * y
+                    last[i + 1] = s * x + c * y
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+    if not rows:
+        return np.sort(d), np.empty((0, n))
     order = np.argsort(d, kind="stable")
     return np.array(d)[order], np.array([first, last])[:, order]
 

@@ -2,9 +2,9 @@
 Stieltjes transforms.
 
 The eigensolver is the package's own: Householder tridiagonalization,
-then the eigenvalues of the tridiagonal matrix by root-free implicit-shift
-QL up to order 200 and by divide and conquer above (_kernels), which raise
-EigenNonConvergence themselves at their iteration caps.  Gram spectra are
+then the eigenvalues of the tridiagonal matrix by divide and conquer with
+implicit-shift QL at its leaves (_kernels), which raises
+EigenNonConvergence itself at its iteration caps.  Gram spectra are
 taken at the smaller of the two orders N and p (gram_eigenvalues).  Nothing
 here calls a library eigensolver; library routines appear only as
 independent oracles in the test suite.

@@ -237,32 +237,48 @@ def ma1_edges(c: float, theta: float, sigma2: float = 1.0) -> list[float]:
 
     On the real s axis where Q = R^2 = 1 + 2as + (a^2 - b^2)s^2 > 0, the
     inverse is x(s) = -1/s + (c/s)(1 - 1/R) with R of the sign of 1 + as,
-    and x'(s) = 0 reads (c - 1) R Q = c P, P = 1 + 3as + 2(a^2 - b^2)s^2.
-    Squared, that is the sextic (c - 1)^2 Q^3 = c^2 P^2.  Squaring adds the
-    roots of (c - 1) R Q = -c P, so a root is kept only where the unsquared
-    equation holds; the edges are the positive critical values x(s) there
-    (Silverstein & Choi 1995).  At c = 1 the sextic is -P^2, whose double
-    roots np.roots splits off the real axis, so the roots of P are taken,
-    where the unsquared equation 0 = P holds by construction."""
+    and x'(s) = 0 reads F(s) = (c - 1) R Q - c P = 0,
+    P = 1 + 3as + 2(a^2 - b^2)s^2; the edges are the positive critical
+    values x(s) (Silverstein & Choi 1995).  Squared, F = 0 is the sextic
+    (c - 1)^2 Q^3 = c^2 P^2, whose real roots are candidates, and so are
+    the roots of P: next to c = 1 the sextic's leading coefficient
+    (c - 1)^2 all but vanishes, and its roots near those of P come in
+    pairs, one of F = 0 and one of (c - 1) R Q = -c P, that np.roots may
+    split off the real axis.  Each candidate is polished by Newton steps
+    on the unsquared F, F' = (3/2)(c - 1) R Q' - c P', and kept only where
+    they converge, so a root of the squared-in half never passes."""
     a, b = _ma1_coefficients(theta, sigma2)
     q = np.array([a * a - b * b, 2.0 * a, 1.0])
     p = np.array([2.0 * (a * a - b * b), 3.0 * a, 1.0])
+    dq, dp = np.polyder(q), np.polyder(p)
     sextic = np.polysub((c - 1.0) ** 2 * np.polymul(np.polymul(q, q), q),
                         c * c * np.polymul(p, p))
+
+    def polished(s):
+        # Newton on F from s: the root and its R, or None if a step leaves
+        # Q > 0 or 50 steps do not converge
+        for _ in range(50):
+            qs = float(np.polyval(q, s))
+            if not qs > 0:
+                return None
+            r = math.copysign(math.sqrt(qs), 1.0 + a * s)
+            step = ((c - 1.0) * r * qs - c * float(np.polyval(p, s))) / (
+                1.5 * (c - 1.0) * r * float(np.polyval(dq, s))
+                - c * float(np.polyval(dp, s)))
+            if abs(step) <= 1e-14 * abs(s):
+                return s, r
+            s -= step
+        return None
+
     edges = []
-    for root in np.roots(p if c == 1.0 else sextic):
-        if abs(root.imag) > 1e-9 * abs(root):
+    for root in (*np.roots(sextic), *np.roots(p)):
+        if abs(root.imag) > 1e-9 * abs(root) or \
+                (found := polished(float(root.real))) is None:
             continue
-        s = float(root.real)
-        qs = float(np.polyval(q, s))
-        if qs <= 0:
-            continue
-        r = math.copysign(math.sqrt(qs), 1.0 + a * s)
-        lhs, rhs = (c - 1.0) * r * qs, c * float(np.polyval(p, s))
-        if c != 1.0 and abs(lhs - rhs) > 1e-6 * abs(lhs + rhs):
-            continue
+        s, r = found
         x = -1.0 / s + (c / s) * (1.0 - 1.0 / r)
-        if x > 0:
+        if x > 0 and not any(math.isclose(x, e, rel_tol=1e-9)
+                             for e in edges):
             edges.append(x)
     return sorted(edges)
 

@@ -1,9 +1,11 @@
 """Command-line driver: config parsing, run artifacts, determinism."""
 
+import copy
 import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -205,15 +207,21 @@ def test_unset_keys_parse_to_the_library_defaults():
     assert cfg.solver == gramspec.SolverSettings()
 
 
+def _benchmark_configs(monkeypatch, seed: int) -> dict:
+    # perfbench's config of each CLI workload, by command
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    return {"compare": workloads.compare_config(seed),
+            "simulate": workloads.simulate_config(seed),
+            "solve": workloads.solve_config(seed)}
+
+
 @pytest.mark.parametrize("seed", [1, 77, 4242])
 def test_parse_config_accepts_the_benchmark_configs(seed, monkeypatch):
     # perfbench runs these configs; a key the parser stopped accepting
     # would make every benchmark operation exit 2
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import workloads
-    for make in (workloads.compare_config, workloads.simulate_config,
-                 workloads.solve_config):
-        cli.parse_config(make(seed))
+    for cfg in _benchmark_configs(monkeypatch, seed).values():
+        cli.parse_config(cfg)
 
 
 def test_parse_config_rejects_one_cap_with_the_ladders_message():
@@ -653,3 +661,95 @@ def test_benchmark_traced_mode_wraps_a_solve(tmp_path):
     traced = json.loads(trace.read_text())
     assert traced["counts"]["kernels.fixed_point_iterations"] > 0
     assert "limit.invert_to_distribution" in traced["self_s"]
+
+
+# ---------------------------------------------------------------------------
+# seeded config fuzzing
+
+# Replacement values: every JSON kind, the reals a reader must refuse, and
+# counts small enough that a config they reach runs in milliseconds.
+_FUZZ_VALUES = (None, True, False, 0, -1, 2, 0.5, -0.0, 1e300, math.nan,
+                math.inf, "", "x", "constant", [], [0.5, "x"], {},
+                {"family": "constant"}, {"family": "tabulated", "path": "x"})
+# Values only parse_config sees: counts past every bound.
+_FUZZ_PARSE_ONLY = (10**7, 2**64, -2**63)
+
+
+def _slots(node):
+    # every (container, key) pair of a JSON tree, containers first
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+def _mutated(rng, cfg: dict, values) -> dict:
+    # one to three edits: replace a value, delete an entry, or add a key
+    cfg = copy.deepcopy(cfg)
+    for _ in range(rng.randint(1, 3)):
+        slots = list(_slots(cfg))
+        op = rng.randrange(3)
+        if op == 2 or not slots:
+            dicts = [cfg] + [n[k] for n, k in slots if isinstance(n[k], dict)]
+            rng.choice(dicts)[rng.choice(("extra", "n", "family", "path"))] = \
+                copy.deepcopy(rng.choice(values))
+            continue
+        node, key = rng.choice(slots)
+        if op == 0:
+            node[key] = copy.deepcopy(rng.choice(values))
+        else:
+            del node[key]
+    return cfg
+
+
+def test_mutated_benchmark_configs_fail_only_with_config_errors(monkeypatch):
+    # whatever a config holds, parse_config accepts it or raises
+    # ConfigError; any other exception escapes cli.main as a traceback
+    rng = random.Random(20260)
+    bases = list(_benchmark_configs(monkeypatch, 4242).values())
+    for _ in range(3000):
+        cfg = _mutated(rng, rng.choice(bases),
+                       _FUZZ_VALUES + _FUZZ_PARSE_ONLY)
+        try:
+            cli.parse_config(cfg)
+        except ConfigError as exc:
+            assert exc.messages and all(isinstance(m, str) and m
+                                        for m in exc.messages), cfg
+
+
+def test_mutated_tiny_configs_exit_zero_one_or_two(tmp_path, monkeypatch):
+    # the benchmark configs at a tiny size, mutated, and run when they
+    # parse: exit 0 with a passing run, 1 only with a run whose gate
+    # failed, and 2 (a section the command needs is gone) with no run
+    # directory
+    rng = random.Random(31)
+    bases = sorted(_benchmark_configs(monkeypatch, 4242).items())
+    tiny = {"name": "fuzz", "aspect": {"n": 24, "p": 12},
+            "grid": {"n_points": 16}, "save_matrices": False}
+    codes = []
+    while len(codes) < 12:
+        command, base = rng.choice(bases)
+        base = dict(base, **tiny)
+        if "seeds" in base:
+            base["seeds"] = base["seeds"][:1]
+        if "z_line" in base:
+            base["z_line"] = dict(base["z_line"], count=4)
+        cfg = _mutated(rng, base, _FUZZ_VALUES)
+        try:
+            cli.parse_config(cfg)
+        except ConfigError:
+            continue
+        root = tmp_path / f"runs{len(codes)}"
+        path = _write(tmp_path, cfg, f"cfg{len(codes)}.json")
+        rc = cli.main([command, "--config", str(path),
+                       "--output-root", str(root)])
+        codes.append(rc)
+        runs = sorted(root.iterdir()) if root.exists() else []
+        if rc == 2:
+            assert runs == [], cfg
+            continue
+        assert rc in (0, 1) and len(runs) == 1, (rc, cfg)
+        manifest = json.loads((runs[0] / "manifest.json").read_text())
+        assert manifest["pass"] is (rc == 0), cfg
+    assert set(codes) == {0, 1, 2}

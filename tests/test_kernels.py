@@ -131,6 +131,12 @@ _TRIDIAGONALIZE_CASES = {
     # the denormal range: without the h < 2^-1000 guard the rank-2 updates
     # are wrong by O(|a|) and the result is NaN
     "trailing-rows-1e-155": lambda: _trailing_rows_scaled(40, 20, 1e-155),
+    # the same block at orders whose QL leaves see it: once unit-scaled it
+    # is denormal, where eps (|d[m]| + |d[m+1]|) underflows to 0, and
+    # without the _TINY deflation floor the sweeps hit their cap
+    **{f"trailing-rows-{n}-1e-155": (
+        lambda n=n: _trailing_rows_scaled(n, n // 2, 1e-155))
+       for n in (260, 400)},
     **{f"random-{n}": (lambda n=n: _random_symmetric(n, n))
        for n in (1, 2, 3, 4)},
     # every row of the zero block is already reduced when its turn comes
@@ -175,8 +181,8 @@ def test_tridiagonalize_commutes_with_powers_of_two(j):
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal eigenvalues above the QL order: divide and conquer, forced
-# at every order by lowering _QL_MAX to the leaf size
+# tridiagonal eigenvalues above the leaf order: the merges of the divide
+# and conquer
 
 
 def _tridiagonal(d, off) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +220,7 @@ _DIVIDE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_DIVIDE_CASES))
-def test_divide_and_conquer_matches_eigvalsh(case, monkeypatch):
-    monkeypatch.setattr(_kernels, "_QL_MAX", _kernels._LEAF)
+def test_divide_and_conquer_matches_eigvalsh(case):
     d, e = _DIVIDE_CASES[case]()
     t = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
     expect = np.linalg.eigvalsh(t)
@@ -318,31 +323,30 @@ def test_divide_and_conquer_peak_allocation(gram_1000_tridiagonal):
 
 
 def test_divide_and_conquer_keeps_ql_below_the_leaf_order(monkeypatch):
-    # orders up to the crossover _QL_MAX never reach the divide and
-    # conquer; the next order does
+    # orders up to the leaf size _LEAF are one QL leaf and never merge;
+    # the next order does
     def fail(*args, **kwargs):
-        raise AssertionError("divide and conquer ran")
+        raise AssertionError("a merge ran")
 
-    monkeypatch.setattr(_kernels, "_divide", fail)
-    d, e = _split_at_top(_kernels._QL_MAX)
+    monkeypatch.setattr(_kernels, "_merge", fail)
+    d, e = _split_at_top(_kernels._LEAF)
     eigs = _kernels.tridiagonal_eigenvalues(d, e)
-    assert eigs.size == _kernels._QL_MAX
-    d, e = _split_at_top(_kernels._QL_MAX + 1)
-    with pytest.raises(AssertionError, match="divide and conquer ran"):
+    assert eigs.size == _kernels._LEAF
+    d, e = _split_at_top(_kernels._LEAF + 1)
+    with pytest.raises(AssertionError, match="a merge ran"):
         _kernels.tridiagonal_eigenvalues(d, e)
 
 
 def test_tridiagonal_eigenvalues_raise_at_their_caps(monkeypatch):
-    # the kernel raises EigenNonConvergence itself, on both paths: the QL
-    # loop at its sweep cap, and above _QL_MAX the divide and conquer at
-    # an unconverged secular root
+    # the kernel raises EigenNonConvergence itself: a QL leaf at its sweep
+    # cap, and above _LEAF a merge at an unconverged secular root
     d, e = _random_tridiagonal(23, 8)
     with monkeypatch.context() as m:
         m.setattr(_kernels, "_SWEEPS_PER_ROW", 0)
         with pytest.raises(EigenNonConvergence, match="sweep cap") as info:
             _kernels.tridiagonal_eigenvalues(d, e)
     assert info.value.index == 0
-    d, e = _random_tridiagonal(24, _kernels._QL_MAX + 1)
+    d, e = _random_tridiagonal(24, _kernels._LEAF + 1)
     monkeypatch.setattr(_kernels, "_SECULAR_MAXIT", 0)
     with pytest.raises(EigenNonConvergence, match="secular") as info:
         _kernels.tridiagonal_eigenvalues(d, e)

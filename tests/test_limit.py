@@ -300,6 +300,17 @@ def test_inversion_matches_the_ma1_closed_form(theta, c):
     assert abs(lim.total_mass - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("theta", [0.5, -0.5])
+@pytest.mark.parametrize("c", [0.99, 0.9999, 0.999999, 1.000001, 1.01])
+def test_ma1_edges_oracle_keeps_both_edges_next_to_c_one(c, theta):
+    # the oracle's sextic has leading coefficient (c - 1)^2, so next to
+    # c = 1 its roots near the upper edge's can leave the real axis
+    expect = limit._certified_support(gramspec.ma1_density(theta), c,
+                                      gramspec.SolverSettings().quad_tol)
+    np.testing.assert_allclose(ma1_edges(c, theta), expect, rtol=1e-8,
+                               atol=0.0)
+
+
 def test_long_memory_limit_has_one_edge():
     # the compare_longmem limit: the density is unbounded, so the support
     # has no upper edge, and the lower edge is a critical value of x(s)

@@ -225,7 +225,7 @@ _STRUCTURED = {
     "scaled-1e200": lambda: 1e200 * _random_symmetric(9, 30),
     "scaled-1e-200": lambda: 1e-200 * _random_symmetric(9, 30),
     "low-rank-gram": lambda: _low_rank_gram(10),
-    # above the QL order, the divide and conquer: many zero z entries
+    # above the leaf order, the merges: many zero z entries
     "low-rank-gram-300x60": lambda: _low_rank_gram(11, 300, 60),
     # tridiagonal form: the identity but for one 2 x 2 block, so the
     # merges see equal poles with z entries below the deflation tolerance
@@ -236,29 +236,28 @@ _STRUCTURED = {
     # zero diagonal, eigenvalues in +/- pairs and 10 zeros
     "embedding-50x40": lambda: gramspec.symmetrize_gram(
         np.random.default_rng(14).standard_normal((50, 40))).values,
+    # the same at order 70, between the leaf order and 200
+    "embedding-40x30": lambda: gramspec.symmetrize_gram(
+        np.random.default_rng(16).standard_normal((40, 30))).values,
+    # every merge has equal poles and rho = 0
+    "diagonal-repeated-90": lambda: np.diag(np.random.default_rng(17).choice(
+        [-2.0, 0.0, 1.0, 3.5], 90)),
 }
 
 
 # random symmetric matrices by order, then structured cases by name
 @pytest.mark.parametrize("case", [1, 2, 3, 5, 16, 33, 64, 65, 100, 128, 257,
                                   300, *_STRUCTURED])
-def test_eigenvalues_match_lapack(case, monkeypatch):
+def test_eigenvalues_match_lapack(case):
     if isinstance(case, int):
         a = _random_symmetric(case, case)
     else:
         a = _STRUCTURED[case]()
     expect = np.linalg.eigvalsh(a)
-    # above the leaf order, both the default route and the divide and
-    # conquer forced by lowering the QL crossover
-    crossovers = [_kernels._QL_MAX]
-    if a.shape[0] > _kernels._LEAF:
-        crossovers.append(_kernels._LEAF)
-    for ql_max in crossovers:
-        monkeypatch.setattr(_kernels, "_QL_MAX", ql_max)
-        got = gramspec.symmetric_eigenvalues(gramspec.SymMatrix(a)).eigs
-        # relative to the spectral radius; exact for the zero matrix
-        np.testing.assert_allclose(got, expect, rtol=0.0,
-                                   atol=1e-13 * float(np.max(np.abs(expect))))
+    got = gramspec.symmetric_eigenvalues(gramspec.SymMatrix(a)).eigs
+    # relative to the spectral radius; exact for the zero matrix
+    np.testing.assert_allclose(got, expect, rtol=0.0,
+                               atol=1e-13 * float(np.max(np.abs(expect))))
 
 
 def test_sweep_cap_raises_eigen_non_convergence(monkeypatch):
@@ -272,10 +271,9 @@ def test_sweep_cap_raises_eigen_non_convergence(monkeypatch):
 
 
 def test_divide_and_conquer_caps_raise_eigen_non_convergence(monkeypatch):
-    # order 80, sent to the divide and conquer by lowering the QL
-    # crossover: a leaf's QL sweeps share the cap of _SWEEPS_PER_ROW per
-    # row, and each secular root has _SECULAR_MAXIT steps
-    monkeypatch.setattr(_kernels, "_QL_MAX", _kernels._LEAF)
+    # order 80, above the leaf size: the leaves' QL sweeps share the cap
+    # of _SWEEPS_PER_ROW per row, and each secular root has
+    # _SECULAR_MAXIT steps
     a = _random_symmetric(15, 80)
     with monkeypatch.context() as m:
         m.setattr(_kernels, "_SWEEPS_PER_ROW", 0)
